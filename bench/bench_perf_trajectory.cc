@@ -7,7 +7,7 @@
 //
 // The wal_durability section also snapshots the engine's
 // MetricsRegistry (Database::MetricsSnapshot) after the durable run and
-// embeds the WAL / buffer-pool / §4 counters in the JSON.
+// embeds the WAL / §4 counters in the JSON.
 //
 // Measured sections (keyed workload, see bench/workload.h):
 //   canonical_form — CanonicalFormLegacy vs CanonicalForm over a 10k-row
@@ -943,10 +943,6 @@ void WriteJson(const std::string& path, const KeyedConfig& config,
        << metrics.counter("nf2_wal_append_bytes_total") << ",\n";
   file << "    \"group_commit_batch_mean\": "
        << Fmt(batch == nullptr ? 0.0 : batch->Mean(), 1) << ",\n";
-  file << "    \"pool_hits\": " << metrics.counter("nf2_pool_hits_total")
-       << ",\n";
-  file << "    \"pool_misses\": " << metrics.counter("nf2_pool_misses_total")
-       << ",\n";
   file << "    \"compositions\": " << metrics.counter("nf2_compo_total")
        << ",\n";
   file << "    \"decompositions\": " << metrics.counter("nf2_unnest_total")

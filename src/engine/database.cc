@@ -46,8 +46,8 @@ Database::~Database() {
   }
 }
 
-std::string Database::TablePath(const RelationInfo& info) const {
-  return (std::filesystem::path(dir_) / info.table_file).string();
+std::string Database::TablePath(const std::string& table_file) const {
+  return (std::filesystem::path(dir_) / table_file).string();
 }
 
 std::string Database::CatalogPath() const {
@@ -191,9 +191,10 @@ Status Database::Recover() {
     NF2_RETURN_IF_ERROR(LoadDictionary());
     saved_dict_size_ = dict_->size();
   }
-  // The page-version manifest (DESIGN.md §12). Missing is fine (fresh
-  // or pre-manifest database: all files are flat); corrupt fails
-  // closed — guessing a page mapping could silently mix page versions.
+  // The page-version manifest (DESIGN.md §12) is the only way a table
+  // file is read. Corrupt fails closed — guessing a page mapping could
+  // silently mix page versions. Missing is fine for a fresh database;
+  // a relation that needs it fails below.
   {
     Result<Manifest> loaded = LoadManifest(env_, ManifestPath());
     if (loaded.ok()) {
@@ -208,50 +209,66 @@ Status Database::Recover() {
       return loaded.status();
     }
   }
+  // Every checkpoint saves the catalog before the manifest, so mappings
+  // without a catalog mean the catalog was lost: finishing "DROPs" below
+  // would delete every table file.
+  if (!manifest_.tables.empty() && !env_->FileExists(CatalogPath())) {
+    return Status::Corruption(
+        StrCat(catalog_.manifest_file(), " maps ", manifest_.tables.size(),
+               " table file(s) but ", kCatalogFile, " is missing"));
+  }
+  std::set<std::string> created_in_log;
+  for (const WalRecord& record : wal_->recovered_records()) {
+    if (record.type == WalOpType::kCreateRelation) {
+      created_in_log.insert(record.relation);
+    }
+  }
+  std::set<std::string> owned_files;
   for (const std::string& name : catalog_.Names()) {
     NF2_ASSIGN_OR_RETURN(const RelationInfo* info, catalog_.Get(name));
+    owned_files.insert(info->table_file);
     CanonicalRelation rel = MakeRelation(info->schema, info->nest_order);
-    if (env_->FileExists(TablePath(*info))) {
-      // Prefer the manifest's logical->physical mapping (CRC-verified);
-      // fall back to a flat read when the file's identity stamp says it
-      // was wholesale-replaced after the manifest was written (a
-      // post-manifest CREATE/DROP — the flat file is then authoritative).
-      NfrRelation stored(info->schema);
-      bool mapped = false;
-      auto mit = manifest_.tables.find(info->table_file);
-      if (mit != manifest_.tables.end() && !mit->second.pages.empty()) {
-        uint64_t on_disk = ProbeTableFileId(env_, TablePath(*info));
-        if (on_disk != 0 && on_disk == mit->second.file_id) {
-          NF2_ASSIGN_OR_RETURN(
-              MappedTable mt,
-              ReadTableMapped(env_, TablePath(*info), mit->second));
-          stored = std::move(mt.relation);
-          mapped = true;
-        }
-      }
-      if (!mapped) {
-        NF2_ASSIGN_OR_RETURN(
-            auto table,
-            Table::Open(env_, TablePath(*info), /*pool_pages=*/64,
-                        BufferPoolMetrics::ForRegistry(&metrics_)));
-        NF2_ASSIGN_OR_RETURN(stored, table->ReadAll());
-      }
+    auto mit = manifest_.tables.find(info->table_file);
+    if (mit != manifest_.tables.end()) {
+      // CRC-verified read through the durable mapping; a missing or
+      // damaged file is Corruption.
+      NF2_ASSIGN_OR_RETURN(
+          MappedTable stored,
+          ReadTableMapped(env_, TablePath(info->table_file), mit->second));
       // Trust but verify: the stored form must be the canonical form of
       // its own expansion (cheap for the usual sizes; guards against
       // partial writes).
       NF2_ASSIGN_OR_RETURN(
           CanonicalRelation rebuilt,
           CanonicalRelation::FromFlat(
-              stored.Expand(), info->nest_order,
+              stored.relation.Expand(), info->nest_order,
               CanonicalRelation::SearchMode::kIndexed,
               CanonicalRelation::Encoding::kInterned, dict_));
-      if (!rebuilt.relation().EqualsAsSet(stored)) {
+      if (!rebuilt.relation().EqualsAsSet(stored.relation)) {
         return Status::Corruption(
             StrCat("table for '", name, "' is not in canonical form"));
       }
       rel = std::move(rebuilt);
+    } else if (created_in_log.count(name) == 0) {
+      // Unmapped relations start empty and replay rebuilds them, which
+      // needs their CREATE record. Without it the manifest that mapped
+      // the relation is gone (or the datadir predates the manifest).
+      return Status::Corruption(
+          StrCat("relation '", name, "' has no mapping in ",
+                 catalog_.manifest_file(),
+                 " and no CREATE record in the log: the manifest was "
+                 "lost, or the database predates it"));
     }
     relations_.emplace(name, std::move(rel));
+  }
+  // A mapping no catalog relation owns is what a DROP cut between its
+  // catalog and manifest saves leaves behind: finish that DROP.
+  std::vector<std::string> orphaned;
+  for (const auto& [file, entry] : manifest_.tables) {
+    if (owned_files.count(file) == 0) orphaned.push_back(file);
+  }
+  for (const std::string& file : orphaned) {
+    NF2_RETURN_IF_ERROR(RemoveTableFile(file));
   }
   // 2. Replay the WAL through the §4 algorithms. The records were read
   // (and the torn tail cut) once, at WriteAheadLog::Open — no second
@@ -309,8 +326,17 @@ Status Database::Recover() {
       case WalOpType::kDropRelation: {
         ++ops_since_checkpoint_;
         if (!catalog_.Has(record.relation)) break;
+        NF2_ASSIGN_OR_RETURN(const RelationInfo* info,
+                             catalog_.Get(record.relation));
+        const std::string table_file = info->table_file;
         NF2_RETURN_IF_ERROR(catalog_.Remove(record.relation));
         relations_.erase(record.relation);
+        // DropRelation's durable order, so the mapping is gone before a
+        // replayed or later CREATE of the same name.
+        if (manifest_.tables.count(table_file) > 0) {
+          NF2_RETURN_IF_ERROR(catalog_.SaveToFile(env_, CatalogPath()));
+          NF2_RETURN_IF_ERROR(RemoveTableFile(table_file));
+        }
         break;
       }
       case WalOpType::kTxnBegin:
@@ -484,23 +510,15 @@ Status Database::CreateRelation(const std::string& name, Schema schema,
 
   BufferWriter payload;
   EncodeRelationInfo(info, &payload);
-  // The WAL record (fsync'd — DDL is a commit point) goes first: once
-  // it is durable, a crash anywhere below is repaired by replay, which
-  // recreates whatever file or catalog entry is missing.
+  // The WAL record (fsync'd — DDL is a commit point) is all CREATE
+  // makes durable besides the catalog: until a checkpoint maps the
+  // relation's table file, recovery starts it empty and replay, which
+  // needs this record, rebuilds it.
   NF2_RETURN_IF_ERROR(
       wal_->Append({0, WalOpType::kCreateRelation, name, payload.data()})
           .status());
   relations_.emplace(name, MakeRelation(info.schema, info.nest_order));
-  // Publish the (empty) table file atomically, then the catalog.
-  NF2_RETURN_IF_ERROR(WriteTableAtomic(env_, TablePath(info), info.schema,
-                                       info.nest_order,
-                                       NfrRelation(info.schema),
-                                       BufferPoolMetrics::ForRegistry(
-                                           &metrics_)));
   NF2_RETURN_IF_ERROR(catalog_.Add(std::move(info)));
-  // The next checkpoint must build a manifest entry for the new file
-  // (adopt-identity over the fresh flat file: a cheap read-only pass).
-  ckpt_dirty_.insert(name);
   ++ops_since_checkpoint_;
   // DDL invalidates cached plans (the statement-cache epoch key) and
   // is itself a publish boundary.
@@ -515,27 +533,37 @@ Status Database::DropRelation(const std::string& name) {
         "DDL is not allowed inside a transaction");
   }
   NF2_ASSIGN_OR_RETURN(const RelationInfo* info, catalog_.Get(name));
-  std::string table_path = TablePath(*info);
-  std::string table_file = info->table_file;
+  const std::string table_file = info->table_file;
   NF2_RETURN_IF_ERROR(
       wal_->Append({0, WalOpType::kDropRelation, name, ""}).status());
   NF2_RETURN_IF_ERROR(catalog_.Remove(name));
   relations_.erase(name);
   ckpt_dirty_.erase(name);
-  // The in-memory manifest must not keep a mapping for the removed
-  // file: a same-named CREATE would otherwise diff against it.
-  manifest_.tables.erase(table_file);
-  if (env_->FileExists(table_path)) {
-    Status removed = env_->RemoveFile(table_path);  // Best effort.
-    if (!removed.ok()) {
-      NF2_LOG(Warning) << "cannot remove dropped table file " << table_path
-                       << ": " << removed;
-    }
-  }
   ++ops_since_checkpoint_;
   catalog_epoch_.fetch_add(1, std::memory_order_release);
   PublishSnapshot();
-  return catalog_.SaveToFile(env_, CatalogPath());
+  // Durable in this order: the catalog, then a manifest without the
+  // file's mapping, and only then is the file removed.
+  NF2_RETURN_IF_ERROR(catalog_.SaveToFile(env_, CatalogPath()));
+  return RemoveTableFile(table_file);
+}
+
+Status Database::RemoveTableFile(const std::string& table_file) {
+  if (manifest_.tables.count(table_file) > 0) {
+    Manifest next = manifest_;
+    next.tables.erase(table_file);
+    NF2_RETURN_IF_ERROR(SaveManifestAtomic(env_, ManifestPath(), next));
+    manifest_ = std::move(next);
+  }
+  const std::string path = TablePath(table_file);
+  if (env_->FileExists(path)) {
+    Status removed = env_->RemoveFile(path);  // Best effort.
+    if (!removed.ok()) {
+      NF2_LOG(Warning) << "cannot remove dropped table file " << path
+                       << ": " << removed;
+    }
+  }
+  return Status::OK();
 }
 
 std::vector<std::string> Database::ListRelations() const {
@@ -767,13 +795,13 @@ Status Database::Checkpoint() {
     }
     NF2_ASSIGN_OR_RETURN(
         CheckpointDeltaStats stats,
-        CheckpointTableDelta(env_, TablePath(*info), info->schema,
+        CheckpointTableDelta(env_, TablePath(info->table_file), info->schema,
                              info->nest_order, it->second.relation(),
                              &entry, next.checkpoint_seq));
     total += stats;
   }
-  // Mappings for files no longer in the catalog (dropped relations)
-  // must not survive into the durable manifest.
+  // A mapping for a file no longer in the catalog (left by a DROP whose
+  // manifest save failed) must not survive into the durable manifest.
   for (auto mit = next.tables.begin(); mit != next.tables.end();) {
     if (live_files.count(mit->first) == 0) {
       mit = next.tables.erase(mit);

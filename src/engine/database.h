@@ -18,7 +18,6 @@
 #include "engine/statistics.h"
 #include "obs/metrics.h"
 #include "storage/checkpoint.h"
-#include "storage/table.h"
 #include "storage/wal.h"
 #include "util/result.h"
 
@@ -28,12 +27,13 @@ namespace nf2 {
 /// write-ahead log.
 ///
 /// Durability protocol:
-///  - CreateRelation/DropRelation are logged (fsync'd), then the table
-///    and catalog files are replaced atomically — a crash between the
-///    steps is recovered by replaying the log.
+///  - CreateRelation/DropRelation are logged (fsync'd) first, then the
+///    catalog file is replaced atomically — a crash between the steps
+///    is recovered by replaying the log. CREATE writes no table file:
+///    replay rebuilds the relation until a checkpoint maps it.
 ///  - Insert/Delete are logged to the WAL (fsync'd at each commit
 ///    point: every autocommit op, every Commit), then applied in
-///    memory via the §4 algorithms. Table files are only rewritten at
+///    memory via the §4 algorithms. Table files are only written at
 ///    Checkpoint, which then truncates the WAL.
 ///  - Checkpoint is incremental (DESIGN.md §12): it shadow-writes only
 ///    the changed pages of mutated relations, publishes the new
@@ -44,10 +44,11 @@ namespace nf2 {
 ///    versions plus the full log, or the new ones plus an idempotent
 ///    replay.
 ///  - Open removes stray temp files, loads the catalog and the
-///    manifest, reads each table through its page mapping (flat when
-///    no mapping applies), then replays the WAL through the same §4
-///    algorithms — recovery reconstructs exactly the canonical form
-///    (Theorem 2 uniqueness makes this well-defined).
+///    manifest, reads each mapped table through its page mapping
+///    (an unmapped relation starts empty; its CREATE record must be in
+///    the log), then replays the WAL through the same §4 algorithms —
+///    recovery reconstructs exactly the canonical form (Theorem 2
+///    uniqueness makes this well-defined).
 class Database {
  public:
   struct Options {
@@ -91,7 +92,9 @@ class Database {
                         std::vector<Fd> fds = {},
                         std::vector<Mvd> mvds = {});
 
-  /// Drops a relation and removes its table file.
+  /// Drops a relation and removes its table file — only after the
+  /// catalog without the relation, then a manifest without the file's
+  /// mapping, are durable.
   Status DropRelation(const std::string& name);
 
   /// Names of all relations, sorted.
@@ -220,8 +223,8 @@ class Database {
     return catalog_epoch_.load(std::memory_order_acquire);
   }
 
-  /// The engine-wide metrics registry — WAL, buffer pools, checkpoint /
-  /// recovery timings, and §4 algebra counters all land here. Valid for
+  /// The engine-wide metrics registry — WAL, checkpoint / recovery
+  /// timings, and §4 algebra counters all land here. Valid for
   /// the lifetime of the Database.
   MetricsRegistry* metrics() { return &metrics_; }
 
@@ -254,7 +257,13 @@ class Database {
 
   Status ApplyInsert(const std::string& name, const FlatTuple& tuple);
   Status ApplyDelete(const std::string& name, const FlatTuple& tuple);
-  std::string TablePath(const RelationInfo& info) const;
+  std::string TablePath(const std::string& table_file) const;
+  /// Removes a dropped relation's `table_file`. The durable catalog
+  /// must no longer list the relation; when the manifest maps the file,
+  /// a manifest without that mapping is made durable first, so no
+  /// durable mapping ever points at a file a later CREATE of the same
+  /// name can replace. The file removal itself is best effort.
+  Status RemoveTableFile(const std::string& table_file);
   std::string CatalogPath() const;
   std::string DictionaryPath() const;
   std::string ManifestPath() const;

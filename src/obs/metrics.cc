@@ -212,20 +212,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
   return out;
 }
 
-BufferPoolMetrics BufferPoolMetrics::ForRegistry(MetricsRegistry* registry) {
-  BufferPoolMetrics out;
-  if (registry == nullptr) return out;
-  out.hits = registry->GetCounter("nf2_pool_hits_total",
-                                  "buffer pool page hits");
-  out.misses = registry->GetCounter("nf2_pool_misses_total",
-                                    "buffer pool page misses (disk reads)");
-  out.evictions = registry->GetCounter("nf2_pool_evictions_total",
-                                       "buffer pool frame evictions");
-  out.writebacks = registry->GetCounter(
-      "nf2_pool_writebacks_total", "dirty pages written back to disk");
-  return out;
-}
-
 CheckpointMetrics CheckpointMetrics::ForRegistry(MetricsRegistry* registry) {
   CheckpointMetrics out;
   if (registry == nullptr) return out;

@@ -163,19 +163,6 @@ class MetricsRegistry {
   std::map<std::string, HistogramEntry> histograms_;
 };
 
-/// Pre-resolved counter handles for a BufferPool. Any pointer may be
-/// null (that metric is simply not recorded) — a default-constructed
-/// struct is a no-op set, so un-instrumented pools cost nothing.
-struct BufferPoolMetrics {
-  Counter* hits = nullptr;
-  Counter* misses = nullptr;
-  Counter* evictions = nullptr;
-  Counter* writebacks = nullptr;
-
-  /// Handles bound to the canonical nf2_pool_* names in `registry`.
-  static BufferPoolMetrics ForRegistry(MetricsRegistry* registry);
-};
-
 /// Pre-resolved counter handles for the incremental checkpoint path
 /// (storage/checkpoint.h). Null pointers are skipped, so the delta
 /// writer can run without a registry (unit tests).

@@ -4,19 +4,94 @@
 #include <vector>
 
 #include "storage/heap_file.h"
-#include "storage/table.h"
 #include "util/string_util.h"
 
 namespace nf2 {
 
 namespace {
+constexpr uint32_t kTableMagic = 0x4e463252;     // "NF2R".
 constexpr uint32_t kManifestMagic = 0x4e463243;  // "NF2C".
-constexpr uint32_t kManifestVersion = 1;
+// Manifest format version, NF2FS-style: the major number (top 16 bits)
+// bumps on incompatible layout changes, the minor (bottom 16) on
+// compatible additions. The plain 1 (read as 0.1) that earlier builds
+// wrote carried per-table file identity stamps; 2.0 has none and always
+// ends with the WAL position.
+constexpr uint32_t kManifestVersion = 0x00020000;
+// Encoded size of one PageVersion: physical u32, version u64, crc u32.
+constexpr size_t kPageVersionBytes = 16;
+
+std::string VersionString(uint32_t version) {
+  return StrCat(version >> 16, ".", version & 0xffff);
+}
 
 std::string_view PageView(const Page& page) {
   return std::string_view(page.data(), kPageSize);
 }
 }  // namespace
+
+std::string EncodeTableMeta(const TableMeta& meta) {
+  BufferWriter out;
+  out.PutU32(kTableMagic);
+  EncodeSchema(meta.schema, &out);
+  out.PutU32(static_cast<uint32_t>(meta.nest_order.size()));
+  for (size_t p : meta.nest_order) {
+    out.PutU32(static_cast<uint32_t>(p));
+  }
+  return out.data();
+}
+
+Result<TableMeta> DecodeTableMeta(std::string_view bytes) {
+  BufferReader in(bytes);
+  NF2_ASSIGN_OR_RETURN(uint32_t magic, in.GetU32());
+  if (magic != kTableMagic) {
+    return Status::Corruption("bad table magic");
+  }
+  TableMeta meta;
+  NF2_ASSIGN_OR_RETURN(meta.schema, DecodeSchema(&in));
+  NF2_ASSIGN_OR_RETURN(uint32_t n, in.GetU32());
+  if (n > in.remaining() / 4) {
+    return Status::Corruption(
+        StrCat("nest order of ", n, " positions exceeds the record size"));
+  }
+  meta.nest_order.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    NF2_ASSIGN_OR_RETURN(uint32_t p, in.GetU32());
+    meta.nest_order.push_back(p);
+  }
+  if (!IsValidPermutation(meta.nest_order, meta.schema.degree())) {
+    return Status::Corruption("stored nest order is not a permutation");
+  }
+  if (!in.AtEnd()) {
+    return Status::Corruption("trailing bytes after table metadata");
+  }
+  return meta;
+}
+
+Result<std::vector<Page>> SerializeTablePages(const Schema& schema,
+                                              const Permutation& nest_order,
+                                              const NfrRelation& relation) {
+  if (relation.schema() != schema) {
+    return Status::InvalidArgument("relation schema mismatch on serialize");
+  }
+  std::vector<Page> pages(1);
+  if (!pages.back().Insert(EncodeTableMeta({schema, nest_order})).has_value()) {
+    return Status::Internal("metadata does not fit in one page");
+  }
+  BufferWriter out;
+  for (const NfrTuple& t : relation.tuples()) {
+    out.Clear();
+    EncodeNfrTuple(t, &out);
+    if (!pages.back().Insert(out.data()).has_value()) {
+      pages.emplace_back();
+      if (!pages.back().Insert(out.data()).has_value()) {
+        return Status::InvalidArgument(
+            StrCat("tuple record of ", out.size(),
+                   " bytes does not fit in a fresh page"));
+      }
+    }
+  }
+  return pages;
+}
 
 void EncodeManifest(const Manifest& m, BufferWriter* out) {
   out->PutU32(kManifestMagic);
@@ -26,7 +101,6 @@ void EncodeManifest(const Manifest& m, BufferWriter* out) {
   out->PutU32(static_cast<uint32_t>(m.tables.size()));
   for (const auto& [name, t] : m.tables) {
     out->PutString(name);
-    out->PutU64(t.file_id);
     out->PutU32(t.physical_pages);
     out->PutU32(static_cast<uint32_t>(t.pages.size()));
     for (const PageVersion& pv : t.pages) {
@@ -47,7 +121,9 @@ Result<Manifest> DecodeManifest(BufferReader* in) {
   NF2_ASSIGN_OR_RETURN(uint32_t version, in->GetU32());
   if (version != kManifestVersion) {
     return Status::Corruption(
-        StrCat("unsupported manifest version ", version));
+        StrCat("manifest format ", VersionString(version),
+               " is not supported; this build reads format ",
+               VersionString(kManifestVersion)));
   }
   Manifest m;
   NF2_ASSIGN_OR_RETURN(m.checkpoint_seq, in->GetU64());
@@ -56,9 +132,13 @@ Result<Manifest> DecodeManifest(BufferReader* in) {
   for (uint32_t i = 0; i < n_tables; ++i) {
     NF2_ASSIGN_OR_RETURN(std::string name, in->GetString());
     TableManifest t;
-    NF2_ASSIGN_OR_RETURN(t.file_id, in->GetU64());
     NF2_ASSIGN_OR_RETURN(t.physical_pages, in->GetU32());
     NF2_ASSIGN_OR_RETURN(uint32_t n_pages, in->GetU32());
+    if (n_pages > in->remaining() / kPageVersionBytes) {
+      return Status::Corruption(
+          StrCat("manifest entry for ", name, " announces ", n_pages,
+                 " pages, more than its remaining bytes hold"));
+    }
     t.pages.reserve(n_pages);
     for (uint32_t p = 0; p < n_pages; ++p) {
       PageVersion pv;
@@ -75,13 +155,8 @@ Result<Manifest> DecodeManifest(BufferReader* in) {
     }
     m.tables.emplace(std::move(name), std::move(t));
   }
-  // WAL position fields postdate kManifestVersion's introduction;
-  // manifests written before them simply end here, which reads as
-  // position (0, 0) — "nothing to adopt".
-  if (!in->AtEnd()) {
-    NF2_ASSIGN_OR_RETURN(m.wal_epoch, in->GetU64());
-    NF2_ASSIGN_OR_RETURN(m.wal_base_lsn, in->GetU64());
-  }
+  NF2_ASSIGN_OR_RETURN(m.wal_epoch, in->GetU64());
+  NF2_ASSIGN_OR_RETURN(m.wal_base_lsn, in->GetU64());
   return m;
 }
 
@@ -119,19 +194,16 @@ Status SaveManifestAtomic(Env* env, const std::string& path,
 }
 
 namespace {
-// Replaces the file at `path` wholesale with the serialized `pages`
-// via temp + rename + dir sync (crash-atomic: either the old file or
-// the complete new one survives), and sets `*entry` to the identity
-// mapping. The safe path whenever no DURABLE manifest entry protects
-// the file — shadow-writing into such a file and crashing before the
-// manifest lands would make the flat-read fallback see mixed pages.
-Status ReplaceTableFile(Env* env, const std::string& path,
-                        const std::vector<Page>& pages, uint64_t file_id,
-                        uint64_t new_version, TableManifest* entry,
-                        CheckpointDeltaStats* stats) {
+// Writes the serialized `pages` as the whole file at `path` via temp +
+// rename + dir sync (crash-atomic: either the old file or the complete
+// new one survives), and sets `*entry` to the identity mapping. The
+// path for a file no durable manifest entry maps.
+Status WriteWholeTableFile(Env* env, const std::string& path,
+                           const std::vector<Page>& pages,
+                           uint64_t new_version, TableManifest* entry,
+                           CheckpointDeltaStats* stats) {
   const std::string tmp = path + ".tmp";
   TableManifest next;
-  next.file_id = file_id;
   {
     NF2_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> file,
                          HeapFile::Create(env, tmp));
@@ -147,9 +219,8 @@ Status ReplaceTableFile(Env* env, const std::string& path,
     NF2_RETURN_IF_ERROR(file->Sync());
   }
   NF2_RETURN_IF_ERROR(env->RenameFile(tmp, path));
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
-  NF2_RETURN_IF_ERROR(env->SyncDir(dir));
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  NF2_RETURN_IF_ERROR(env->SyncDir(dir.empty() ? "." : dir));
   *entry = std::move(next);
   return Status::OK();
 }
@@ -160,100 +231,41 @@ Result<CheckpointDeltaStats> CheckpointTableDelta(
     const Permutation& nest_order, const NfrRelation& relation,
     TableManifest* entry, uint64_t new_version) {
   CheckpointDeltaStats stats;
-
-  uint64_t file_id =
-      env->FileExists(path) ? ProbeTableFileId(env, path) : 0;
-
-  if (file_id == 0) {
-    // Missing (or unreadable) file: write from scratch under a fresh
-    // identity stamp.
-    file_id = NewTableFileId();
-    NF2_ASSIGN_OR_RETURN(
-        std::vector<Page> pages,
-        SerializeTablePages(schema, nest_order, file_id, relation));
-    NF2_RETURN_IF_ERROR(ReplaceTableFile(env, path, pages, file_id,
-                                         new_version, entry, &stats));
+  NF2_ASSIGN_OR_RETURN(std::vector<Page> pages,
+                       SerializeTablePages(schema, nest_order, relation));
+  if (entry->pages.empty()) {
+    NF2_RETURN_IF_ERROR(
+        WriteWholeTableFile(env, path, pages, new_version, entry, &stats));
     return stats;
   }
 
-  NF2_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFile> file,
-      HeapFile::Open(env, path, /*tolerate_torn_tail=*/true));
-
-  NF2_ASSIGN_OR_RETURN(
-      std::vector<Page> pages,
-      SerializeTablePages(schema, nest_order, file_id, relation));
-
-  const bool durable_mapping =
-      entry->file_id == file_id && !entry->pages.empty();
-  TableManifest base = *entry;
-  if (!durable_mapping) {
-    // No durable entry protects this file (fresh CREATE, or an entry
-    // built against a replaced file). Its current pages ARE the live
-    // versions — adopt them as an identity baseline.
-    base = TableManifest{};
-    base.file_id = file_id;
-    base.physical_pages = file->page_count();
-    Page scratch;
-    for (PageId i = 0; i < file->page_count(); ++i) {
-      NF2_RETURN_IF_ERROR(file->ReadPage(i, &scratch));
-      base.pages.push_back({i, /*version=*/0, Crc32(PageView(scratch))});
-    }
-    bool identical = pages.size() == base.pages.size();
-    for (size_t i = 0; identical && i < pages.size(); ++i) {
-      identical = Crc32(PageView(pages[i])) == base.pages[i].crc;
-    }
-    if (identical) {
-      // A file freshly produced by WriteTableAtomic diffs to zero
-      // writes: adopt the identity mapping, touch nothing.
-      stats.pages_skipped += pages.size();
-      *entry = std::move(base);
-      return stats;
-    }
-    // Changed, and shadow slots in this file are NOT protected by the
-    // durable manifest — a crash mid-shadow-write would feed mixed
-    // pages to the flat-read fallback. Replace the file wholesale
-    // (crash-atomic) instead; from the next checkpoint on, the durable
-    // entry enables true page deltas.
-    file.reset();
-    NF2_RETURN_IF_ERROR(ReplaceTableFile(env, path, pages, file_id,
-                                         new_version, entry, &stats));
-    return stats;
-  }
-
+  NF2_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> file,
+                       HeapFile::Open(env, path));
   // Physical slots the durable mapping references must survive until
   // the next manifest is published; anything else below page_count is a
-  // free shadow slot. Physical page 0 is never recycled: it always
-  // holds the metadata record ProbeTableFileId reads.
+  // free shadow slot.
   std::vector<bool> referenced(file->page_count(), false);
-  if (!referenced.empty()) referenced[0] = true;
-  for (const PageVersion& pv : base.pages) {
+  for (const PageVersion& pv : entry->pages) {
     if (pv.physical < referenced.size()) referenced[pv.physical] = true;
   }
 
   TableManifest next;
-  next.file_id = file_id;
-  PageId free_cursor = 1;
+  PageId free_cursor = 0;
   bool wrote = false;
   for (size_t i = 0; i < pages.size(); ++i) {
     const uint32_t crc = Crc32(PageView(pages[i]));
-    if (i < base.pages.size() && base.pages[i].crc == crc) {
-      next.pages.push_back(base.pages[i]);
+    if (i < entry->pages.size() && entry->pages[i].crc == crc) {
+      next.pages.push_back(entry->pages[i]);
       ++stats.pages_skipped;
       continue;
     }
-    PageId slot = kInvalidPageId;
-    while (free_cursor < referenced.size()) {
-      if (!referenced[free_cursor]) {
-        slot = free_cursor;
-        break;
-      }
+    while (free_cursor < referenced.size() && referenced[free_cursor]) {
       ++free_cursor;
     }
-    if (slot == kInvalidPageId) {
-      slot = file->page_count();
-      referenced.resize(file->page_count() + 1, false);
-    }
+    // With no free slot left, the cursor sits at page_count() and the
+    // write appends.
+    const PageId slot = free_cursor;
+    if (slot == referenced.size()) referenced.push_back(false);
     referenced[slot] = true;
     NF2_RETURN_IF_ERROR(file->WritePageAt(slot, pages[i]));
     next.pages.push_back({slot, new_version, crc});
@@ -273,9 +285,12 @@ Result<MappedTable> ReadTableMapped(Env* env, const std::string& path,
     return Status::Corruption(
         StrCat("empty manifest mapping for ", path));
   }
-  NF2_ASSIGN_OR_RETURN(
-      std::unique_ptr<HeapFile> file,
-      HeapFile::Open(env, path, /*tolerate_torn_tail=*/true));
+  if (!env->FileExists(path)) {
+    return Status::Corruption(
+        StrCat("table file ", path, " is mapped by the manifest but missing"));
+  }
+  NF2_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> file,
+                       HeapFile::Open(env, path));
   MappedTable out;
   Page page;
   for (size_t i = 0; i < entry.pages.size(); ++i) {
@@ -291,43 +306,32 @@ Result<MappedTable> ReadTableMapped(Env* env, const std::string& path,
           StrCat("page checksum mismatch on logical page ", i, " of ",
                  path));
     }
+    NF2_ASSIGN_OR_RETURN(std::vector<std::string> records, page.Records());
+    size_t first_tuple = 0;
     if (i == 0) {
-      NF2_ASSIGN_OR_RETURN(std::string meta_bytes, page.Read(0));
-      NF2_ASSIGN_OR_RETURN(TableMeta meta, DecodeTableMeta(meta_bytes));
-      if (meta.file_id != entry.file_id) {
+      if (records.empty()) {
         return Status::Corruption(
-            StrCat("file identity mismatch on ", path,
-                   ": manifest expects ", entry.file_id, ", file has ",
-                   meta.file_id));
+            StrCat("table file ", path, " has no metadata record"));
       }
+      NF2_ASSIGN_OR_RETURN(TableMeta meta, DecodeTableMeta(records[0]));
       out.schema = std::move(meta.schema);
       out.nest_order = std::move(meta.nest_order);
-      out.file_id = meta.file_id;
       out.relation = NfrRelation(out.schema);
+      first_tuple = 1;
     }
-    for (auto& [slot, record] : page.LiveRecords()) {
-      if (i == 0 && slot == 0) continue;  // Metadata record.
-      BufferReader reader(record);
+    for (size_t r = first_tuple; r < records.size(); ++r) {
+      BufferReader reader(records[r]);
       NF2_ASSIGN_OR_RETURN(NfrTuple tuple, DecodeNfrTuple(&reader));
       if (tuple.degree() != out.schema.degree()) {
         return Status::Corruption("stored tuple degree mismatch");
+      }
+      if (!tuple.IsWellFormed()) {
+        return Status::Corruption("empty component in stored tuple");
       }
       out.relation.Add(std::move(tuple));
     }
   }
   return out;
-}
-
-uint64_t ProbeTableFileId(Env* env, const std::string& path) {
-  auto file = HeapFile::Open(env, path, /*tolerate_torn_tail=*/true);
-  if (!file.ok() || (*file)->page_count() == 0) return 0;
-  Page page;
-  if (!(*file)->ReadPage(0, &page).ok()) return 0;
-  auto record = page.Read(0);
-  if (!record.ok()) return 0;
-  auto meta = DecodeTableMeta(*record);
-  if (!meta.ok()) return 0;
-  return meta->file_id;
 }
 
 }  // namespace nf2

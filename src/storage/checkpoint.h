@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/nest.h"
@@ -16,18 +17,41 @@
 
 namespace nf2 {
 
-/// Incremental, page-level checkpoints (DESIGN.md §12).
+/// Incremental, page-level checkpoints (DESIGN.md §12) — the one
+/// module that reads and writes table files.
 ///
-/// A checkpoint no longer rewrites every table file. Instead each table
-/// file is shadow-paged: the MANIFEST maps every *logical* page of a
-/// table to the *physical* page slot holding its live version. Writing
-/// a checkpoint serializes the relation into logical page images, skips
-/// every page whose CRC matches the manifest, and writes the changed
-/// ones into physical slots the durable manifest does NOT reference —
-/// old versions stay intact until the next manifest is published by an
-/// atomic rename. The WAL truncate after that rename is the commit
-/// point: a crash anywhere earlier recovers from the old manifest plus
-/// a full (idempotent) replay, a crash after it from the new manifest.
+/// Each table file is shadow-paged: the MANIFEST maps every *logical*
+/// page of a table to the *physical* page slot holding its live
+/// version, and recovery reads a table only through that mapping.
+/// Writing a checkpoint serializes the relation into logical page
+/// images, skips every page whose CRC matches the manifest, and writes
+/// the changed ones into physical slots the durable manifest does NOT
+/// reference — old versions stay intact until the next manifest is
+/// published by an atomic rename. The WAL truncate after that rename is
+/// the commit point: a crash anywhere earlier recovers from the old
+/// manifest plus a full (idempotent) replay, a crash after it from the
+/// new manifest.
+
+/// The metadata record every table file carries in logical page 0,
+/// slot 0: the relation's schema and nest order.
+struct TableMeta {
+  Schema schema;
+  Permutation nest_order;
+};
+
+std::string EncodeTableMeta(const TableMeta& meta);
+Result<TableMeta> DecodeTableMeta(std::string_view bytes);
+
+/// Deterministically packs `relation` into logical page images: the
+/// metadata record in page 0 slot 0, then one record per NFR tuple,
+/// first-fit in tuple order. The nested relation IS the physical
+/// representation (the paper's "internal view"), with correspondingly
+/// fewer records than the 1NF expansion. The incremental checkpoint
+/// diffs these images against the manifest's per-page CRCs to find the
+/// pages worth writing.
+Result<std::vector<Page>> SerializeTablePages(const Schema& schema,
+                                              const Permutation& nest_order,
+                                              const NfrRelation& relation);
 
 /// The live version of one logical page.
 struct PageVersion {
@@ -40,16 +64,10 @@ struct PageVersion {
 
 /// The manifest entry for one table file.
 struct TableManifest {
-  /// Identity stamp of the file the mapping was built against (from the
-  /// table's metadata record). A mismatch on recovery means the file
-  /// was wholesale-replaced (CREATE after DROP) after this manifest was
-  /// written — the mapping is stale and the file is read flat instead.
-  uint64_t file_id = 0;
   /// Physical size of the heap file, in pages, after the checkpoint.
   PageId physical_pages = 0;
-  /// Logical page index -> live version. Index 0 is the metadata page;
-  /// its content never changes for a given file, so physical slot 0 is
-  /// never recycled as a shadow slot.
+  /// Logical page index -> live version. Index 0 holds the metadata
+  /// record.
   std::vector<PageVersion> pages;
 
   bool operator==(const TableManifest&) const = default;
@@ -67,7 +85,6 @@ struct Manifest {
   /// first post-truncate record gets lsn >= `wal_base_lsn`. Recovery
   /// folds these into the reopened log (AdoptDurablePosition) so a
   /// stream position (epoch, lsn) is never reissued across a restart.
-  /// Both 0 on manifests written before replication existed.
   uint64_t wal_epoch = 0;
   uint64_t wal_base_lsn = 0;
 
@@ -78,8 +95,8 @@ void EncodeManifest(const Manifest& m, BufferWriter* out);
 Result<Manifest> DecodeManifest(BufferReader* in);
 
 /// Loads and CRC-verifies the manifest; NotFound when the file does not
-/// exist (a fresh or pre-manifest database), Corruption when it fails
-/// validation — recovery must then fail closed rather than guess a
+/// exist, Corruption when it fails validation or was written in another
+/// format version — recovery must then fail closed rather than guess a
 /// page mapping.
 Result<Manifest> LoadManifest(Env* env, const std::string& path);
 
@@ -102,20 +119,17 @@ struct CheckpointDeltaStats {
   }
 };
 
-/// Writes `relation` into the table file at `path` as a page-level
-/// delta against `*entry` (the durable manifest's mapping for the
-/// file), updating `*entry` in place to the new mapping:
-///  - Durable mapping present (entry matches the file's identity
-///    stamp): changed logical pages go to physical slots the old
-///    mapping does not reference (shadow paging); unchanged pages are
-///    skipped. Safe because recovery reads such a file only through
-///    the durable mapping, never flat.
-///  - No durable mapping (missing file, fresh CREATE, or a stale
-///    entry): if the serialized pages already equal the file's pages
-///    (a fresh WriteTableAtomic product) the identity mapping is
-///    adopted with zero writes; otherwise the file is replaced
-///    wholesale via temp + rename — shadow slots in an unmapped file
-///    are not crash-protected, so in-place deltas are off the table.
+/// Writes `relation` into the table file at `path` against `*entry`
+/// (the durable manifest's mapping for the file), updating `*entry` in
+/// place to the new mapping:
+///  - Durable mapping present: changed logical pages go to physical
+///    slots the old mapping does not reference (shadow paging);
+///    unchanged pages are skipped. Safe because recovery reads the file
+///    only through the durable mapping.
+///  - No durable mapping (a relation created since the last
+///    checkpoint): the whole file is written via temp + rename + dir
+///    sync. Recovery ignores an unmapped file, and the rename leaves
+///    any stray file of the same name whole until it lands.
 /// The file is fdatasync'd before returning whenever anything was
 /// written. The caller must only persist `*entry` (SaveManifestAtomic)
 /// AFTER this returns OK.
@@ -128,22 +142,16 @@ Result<CheckpointDeltaStats> CheckpointTableDelta(
 struct MappedTable {
   Schema schema;
   Permutation nest_order;
-  uint64_t file_id = 0;
   NfrRelation relation;
 };
 
 /// Reads the table at `path` through `entry`'s logical->physical
-/// mapping, verifying every page against its manifest CRC and the
-/// file_id against the metadata record. Any mismatch is Corruption:
-/// a mapped read must never silently mix page versions.
+/// mapping, verifying every page against its manifest CRC. Any
+/// mismatch — a missing file, a page past the file end, a CRC or
+/// decode failure — is Corruption: a mapped read must never silently
+/// mix page versions or drop a record.
 Result<MappedTable> ReadTableMapped(Env* env, const std::string& path,
                                     const TableManifest& entry);
-
-/// The file_id stamped in the table file's metadata record (physical
-/// page 0, slot 0), or 0 when it cannot be read — callers treat 0 as
-/// "mapping does not apply" and fall back to a flat read, which
-/// surfaces real corruption with a proper error.
-uint64_t ProbeTableFileId(Env* env, const std::string& path);
 
 }  // namespace nf2
 

@@ -5,10 +5,6 @@
 
 namespace nf2 {
 
-std::string RecordId::ToString() const {
-  return StrCat("(page=", page, ", slot=", slot, ")");
-}
-
 HeapFile::~HeapFile() {
   if (file_ != nullptr) {
     Status s = file_->Close();
@@ -21,7 +17,6 @@ HeapFile::~HeapFile() {
 Result<std::unique_ptr<HeapFile>> HeapFile::Create(Env* env,
                                                    const std::string& path) {
   auto hf = std::make_unique<HeapFile>();
-  hf->env_ = env;
   hf->path_ = path;
   NF2_ASSIGN_OR_RETURN(hf->file_,
                        env->NewRandomRWFile(path, /*truncate=*/true));
@@ -30,19 +25,12 @@ Result<std::unique_ptr<HeapFile>> HeapFile::Create(Env* env,
 }
 
 Result<std::unique_ptr<HeapFile>> HeapFile::Open(Env* env,
-                                                 const std::string& path,
-                                                 bool tolerate_torn_tail) {
+                                                 const std::string& path) {
   if (!env->FileExists(path)) {
     return Status::NotFound(StrCat("heap file ", path, " not found"));
   }
   NF2_ASSIGN_OR_RETURN(uint64_t size, env->FileSize(path));
-  if (size % kPageSize != 0 && !tolerate_torn_tail) {
-    return Status::Corruption(
-        StrCat("heap file ", path, " size ", size,
-               " is not a multiple of the page size"));
-  }
   auto hf = std::make_unique<HeapFile>();
-  hf->env_ = env;
   hf->path_ = path;
   NF2_ASSIGN_OR_RETURN(hf->file_,
                        env->NewRandomRWFile(path, /*truncate=*/false));
@@ -58,14 +46,6 @@ Status HeapFile::ReadPage(PageId id, Page* page) {
                      page->mutable_data());
 }
 
-Status HeapFile::WritePage(PageId id, const Page& page) {
-  if (id >= page_count_) {
-    return Status::OutOfRange(StrCat("page ", id, " past end"));
-  }
-  return file_->Write(static_cast<uint64_t>(id) * kPageSize,
-                      std::string_view(page.data(), kPageSize));
-}
-
 Status HeapFile::WritePageAt(PageId id, const Page& page) {
   if (id > page_count_) {
     return Status::OutOfRange(StrCat("page ", id, " past end"));
@@ -75,16 +55,6 @@ Status HeapFile::WritePageAt(PageId id, const Page& page) {
                    std::string_view(page.data(), kPageSize)));
   if (id == page_count_) ++page_count_;
   return Status::OK();
-}
-
-Result<PageId> HeapFile::AllocatePage() {
-  Page fresh;
-  PageId id = page_count_;
-  NF2_RETURN_IF_ERROR(
-      file_->Write(static_cast<uint64_t>(id) * kPageSize,
-                   std::string_view(fresh.data(), kPageSize)));
-  ++page_count_;
-  return id;
 }
 
 Status HeapFile::Sync() { return file_->Sync(); }

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "storage/env.h"
 #include "storage/page.h"
@@ -11,23 +10,12 @@
 
 namespace nf2 {
 
-/// Identifies a record inside a heap file.
-struct RecordId {
-  PageId page = kInvalidPageId;
-  uint16_t slot = 0;
-
-  bool valid() const { return page != kInvalidPageId; }
-  bool operator==(const RecordId&) const = default;
-  std::string ToString() const;
-};
-
-/// A page-structured file of variable-length records. Raw I/O only —
-/// callers go through BufferPool for caching. All I/O flows through the
-/// owning Env, so fault-injection tests can cut the write stream at any
-/// syscall.
+/// A file of fixed-size pages, read and written whole by the checkpoint
+/// (storage/checkpoint.h) — the only reader and writer of table files.
+/// All I/O flows through the owning Env, so fault-injection tests can
+/// cut the write stream at any syscall.
 ///
-/// Not thread-safe; nf2db is a single-threaded embedded engine like the
-/// systems of its era.
+/// Not thread-safe; the engine checkpoints from its writer context.
 class HeapFile {
  public:
   HeapFile() = default;
@@ -39,21 +27,13 @@ class HeapFile {
   /// Creates a new empty file (truncates an existing one).
   static Result<std::unique_ptr<HeapFile>> Create(Env* env,
                                                   const std::string& path);
-  static Result<std::unique_ptr<HeapFile>> Create(const std::string& path) {
-    return Create(Env::Default(), path);
-  }
 
-  /// Opens an existing file; errors if missing or not page-aligned.
-  /// With `tolerate_torn_tail`, a trailing partial page (a crash mid
-  /// shadow-page append) is floored away instead of rejected: the torn
+  /// Opens an existing file; NotFound if missing. A trailing partial
+  /// page (a crash mid shadow-page append) is floored away: the torn
   /// region is never referenced by any manifest and is overwritten by
   /// the next extension.
   static Result<std::unique_ptr<HeapFile>> Open(Env* env,
-                                                const std::string& path,
-                                                bool tolerate_torn_tail = false);
-  static Result<std::unique_ptr<HeapFile>> Open(const std::string& path) {
-    return Open(Env::Default(), path);
-  }
+                                                const std::string& path);
 
   const std::string& path() const { return path_; }
   PageId page_count() const { return page_count_; }
@@ -61,23 +41,16 @@ class HeapFile {
   /// Reads page `id` into `*page`.
   Status ReadPage(PageId id, Page* page);
 
-  /// Writes `page` at `id` (must be < page_count()).
-  Status WritePage(PageId id, const Page& page);
-
   /// Writes `page` at `id`, extending the file by exactly one page when
   /// `id == page_count()` — the shadow-page writer's append path, which
   /// places a full image rather than a fresh empty page.
   Status WritePageAt(PageId id, const Page& page);
-
-  /// Appends a freshly formatted page; returns its id.
-  Result<PageId> AllocatePage();
 
   /// fdatasyncs the file: every written page is on stable storage when
   /// this returns OK.
   Status Sync();
 
  private:
-  Env* env_ = nullptr;
   std::string path_;
   std::unique_ptr<RandomRWFile> file_;
   PageId page_count_ = 0;

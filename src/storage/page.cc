@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace nf2 {
@@ -61,45 +60,25 @@ Result<std::string> Page::Read(uint16_t slot) const {
     return Status::OutOfRange(StrCat("slot ", slot, " out of range"));
   }
   size_t slot_pos = kHeaderSize + slot * kSlotSize;
+  if (slot_pos + kSlotSize > kPageSize) {
+    return Status::Corruption(
+        StrCat("slot ", slot, " lies past the page end (page claims ",
+               slot_count(), " slots)"));
+  }
   uint16_t offset = GetU16At(slot_pos);
   uint16_t length = GetU16At(slot_pos + 2);
-  if (length == 0) {
-    return Status::NotFound(StrCat("slot ", slot, " is deleted"));
-  }
-  if (offset + length > kPageSize) {
-    return Status::Corruption("slot points past page end");
+  if (size_t{offset} + length > kPageSize) {
+    return Status::Corruption(
+        StrCat("slot ", slot, " points past the page end"));
   }
   return std::string(bytes_.data() + offset, length);
 }
 
-Status Page::Delete(uint16_t slot) {
-  if (slot >= slot_count()) {
-    return Status::OutOfRange(StrCat("slot ", slot, " out of range"));
-  }
-  size_t slot_pos = kHeaderSize + slot * kSlotSize;
-  if (GetU16At(slot_pos + 2) == 0) {
-    return Status::NotFound(StrCat("slot ", slot, " already deleted"));
-  }
-  SetU16At(slot_pos + 2, 0);
-  return Status::OK();
-}
-
-void Page::Compact() {
-  std::vector<std::pair<uint16_t, std::string>> live = LiveRecords();
-  Format();
-  for (auto& [slot, record] : live) {
-    std::optional<uint16_t> inserted = Insert(record);
-    NF2_CHECK(inserted.has_value()) << "compaction cannot overflow";
-  }
-}
-
-std::vector<std::pair<uint16_t, std::string>> Page::LiveRecords() const {
-  std::vector<std::pair<uint16_t, std::string>> out;
+Result<std::vector<std::string>> Page::Records() const {
+  std::vector<std::string> out;
   for (uint16_t s = 0; s < slot_count(); ++s) {
-    Result<std::string> record = Read(s);
-    if (record.ok()) {
-      out.emplace_back(s, *std::move(record));
-    }
+    NF2_ASSIGN_OR_RETURN(std::string record, Read(s));
+    out.push_back(std::move(record));
   }
   return out;
 }

@@ -27,21 +27,18 @@ inline constexpr PageId kInvalidPageId = 0xffffffffu;
 ///   ... free space ...
 ///   [record bytes, packed toward the end]
 ///
-/// A slot with length 0 is a tombstone (deleted record).
+/// Pages are written whole by the checkpoint serializer and read back
+/// from disk, so every read bounds the slot directory and each record
+/// against the page: a damaged page yields Corruption, never an
+/// out-of-page read.
 class Page {
  public:
-  struct SlotId {
-    PageId page = kInvalidPageId;
-    uint16_t slot = 0;
-    bool operator==(const SlotId&) const = default;
-  };
-
   Page();
 
   /// Re-initializes an empty slotted page.
   void Format();
 
-  /// Number of slots (including tombstones).
+  /// Number of slots, as the page header claims.
   uint16_t slot_count() const;
 
   /// Bytes available for one more record (accounting for its slot).
@@ -51,19 +48,13 @@ class Page {
   /// is full. Records larger than the page payload never fit.
   std::optional<uint16_t> Insert(std::string_view record);
 
-  /// Reads the record in `slot`; NotFound for tombstones, OutOfRange
-  /// for bad slots.
+  /// Reads the record in `slot`; OutOfRange for a slot past
+  /// slot_count(), Corruption when the slot's directory entry or its
+  /// record bytes lie outside the page.
   Result<std::string> Read(uint16_t slot) const;
 
-  /// Tombstones `slot`. Space is reclaimed by Compact().
-  Status Delete(uint16_t slot);
-
-  /// Rewrites live records to drop tombstone space. Slot indices are
-  /// NOT stable across compaction; callers re-scan afterwards.
-  void Compact();
-
-  /// All live (slot, record) pairs in slot order.
-  std::vector<std::pair<uint16_t, std::string>> LiveRecords() const;
+  /// Every record in slot order; Corruption when any slot is damaged.
+  Result<std::vector<std::string>> Records() const;
 
   /// Raw page bytes (exactly kPageSize).
   const char* data() const { return bytes_.data(); }

@@ -341,7 +341,7 @@ TEST_F(DatabaseTest, DropCreateCycleSurvivesStaleManifest) {
     }
     // Manifest now maps r.tbl's pages.
     ASSERT_TRUE((*db)->Checkpoint().ok());
-    // Replace the file identity underneath that mapping.
+    // Drop the mapped file and re-create the same name on top.
     ASSERT_TRUE((*db)->DropRelation("r").ok());
     ASSERT_TRUE((*db)->CreateRelation("r", schema, {0, 1}).ok());
     ASSERT_TRUE((*db)->Insert("r", FlatTuple{V("fresh"), V("row")}).ok());
@@ -350,15 +350,17 @@ TEST_F(DatabaseTest, DropCreateCycleSurvivesStaleManifest) {
           (*db)->Insert("r", FlatTuple{V(StrCat("f", i).c_str()), V("x")})
               .ok());
     }
-    // Photograph the directory BEFORE the clean-close checkpoint
-    // refreshes the manifest: the image has the old file's mapping in
-    // MANIFEST.nf2 but the fresh flat r.tbl on disk — exactly what a
-    // crash between DROP/CREATE and the next checkpoint leaves.
+    // Photograph the directory BEFORE the clean-close checkpoint maps
+    // the new r.tbl: the DROP already made a manifest without the old
+    // mapping durable and removed the old file, so the image holds a
+    // catalog naming the fresh r, no mapping and no file for it —
+    // exactly what a crash between DROP/CREATE and the next checkpoint
+    // leaves.
     std::filesystem::copy(dir_, crash_dir,
                           std::filesystem::copy_options::recursive);
   }
-  // Recovery must notice the identity-stamp mismatch, ignore the stale
-  // mapping, and read the new flat file (then replay the WAL).
+  // No mapping can be stale: recovery starts the unmapped r empty and
+  // rebuilds it from the WAL (DROP, CREATE, then the inserts).
   auto db = Database::Open(crash_dir);
   ASSERT_TRUE(db.ok()) << db.status();
   Result<FlatRelation> scan = (*db)->Scan("r");
@@ -394,7 +396,7 @@ TEST_F(DatabaseTest, CorruptManifestFailsRecoveryClosed) {
   EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(DatabaseTest, DeletedManifestFallsBackToFlatReads) {
+TEST_F(DatabaseTest, DeletedManifestFailsOpenClosed) {
   {
     auto db = Database::Open(dir_);
     ASSERT_TRUE(db.ok());
@@ -403,25 +405,152 @@ TEST_F(DatabaseTest, DeletedManifestFallsBackToFlatReads) {
     ASSERT_TRUE((*db)->Insert("students", Scb("s2", "c2", "b2")).ok());
     ASSERT_TRUE((*db)->Checkpoint().ok());
   }
-  // An operator removing MANIFEST.nf2 (or a pre-manifest database)
-  // must still open: after a CLEAN checkpoint every table file is
-  // flat-readable — shadow slots only accumulate between checkpoints
-  // of an already-mapped file, and those require the manifest that
-  // mapped them to still exist.
-  //
-  // NOTE: this guarantee is for the FIRST checkpoint only (which
-  // writes whole files). After later incremental checkpoints the flat
-  // fallback may see both old and new versions of a page — which the
-  // canonical-form verification at recovery then rejects rather than
-  // serves. Deleting the manifest is not a supported operation; this
-  // test pins the pre-manifest compatibility path.
+  // The manifest is the only way a table file is read, and the
+  // checkpoint truncated the CREATE record replay would need: without
+  // the manifest, Open must refuse, naming the relation, rather than
+  // serve an empty one.
   ASSERT_TRUE(std::filesystem::remove(
       std::filesystem::path(dir_) / "MANIFEST.nf2"));
+  auto db = Database::Open(dir_);
+  ASSERT_EQ(db.status().code(), StatusCode::kCorruption) << db.status();
+  EXPECT_NE(db.status().message().find("'students'"), std::string::npos)
+      << db.status();
+}
+
+TEST_F(DatabaseTest, MissingMappedTableFileFailsOpenClosed) {
+  {
+    auto db = Database::Open(dir_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)
+                    ->CreateRelation("acct",
+                                     Schema::OfStrings({"Owner", "Asset"}),
+                                     {1, 0})
+                    .ok());
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE((*db)
+                      ->Insert("acct", FlatTuple{V(StrCat("o", i).c_str()),
+                                                 V(StrCat("a", i).c_str())})
+                      .ok());
+    }
+  }  // A clean close checkpoints: MANIFEST.nf2 now maps acct.tbl.
+  ASSERT_TRUE(
+      std::filesystem::remove(std::filesystem::path(dir_) / "acct.tbl"));
+  // 50 acknowledged rows live only in that file; opening without them
+  // would make the loss permanent at the next checkpoint.
+  auto db = Database::Open(dir_);
+  ASSERT_EQ(db.status().code(), StatusCode::kCorruption) << db.status();
+  EXPECT_NE(db.status().message().find("acct.tbl"), std::string::npos)
+      << db.status();
+}
+
+TEST_F(DatabaseTest, CreateWritesNoTableFileAndRecoversFromTheLog) {
+  {
+    auto db = Database::Open(dir_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(CreateStudents(db->get()).ok());
+    ASSERT_TRUE((*db)->Insert("students", Scb("s1", "c1", "b1")).ok());
+    EXPECT_FALSE(
+        std::filesystem::exists(std::filesystem::path(dir_) / "students.tbl"));
+    // Crash: no shutdown checkpoint.
+    (void)db->release();
+  }
   auto db = Database::Open(dir_);
   ASSERT_TRUE(db.ok()) << db.status();
   Result<FlatRelation> scan = (*db)->Scan("students");
   ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->size(), 2u);
+  EXPECT_EQ(scan->size(), 1u);
+}
+
+TEST_F(DatabaseTest, DropUnmapsTheFileBeforeRemovingIt) {
+  const std::filesystem::path dir(dir_);
+  auto db = Database::Open(dir_);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(CreateStudents(db->get()).ok());
+  ASSERT_TRUE((*db)->Insert("students", Scb("s1", "c1", "b1")).ok());
+  ASSERT_TRUE((*db)->Checkpoint().ok());
+  ASSERT_TRUE(std::filesystem::exists(dir / "students.tbl"));
+  ASSERT_TRUE((*db)->DropRelation("students").ok());
+  // Without a checkpoint in between, the durable manifest already lacks
+  // the mapping, and the file is gone.
+  Result<Manifest> manifest =
+      LoadManifest(Env::Default(), (dir / "MANIFEST.nf2").string());
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  EXPECT_EQ(manifest->tables.count("students.tbl"), 0u);
+  EXPECT_FALSE(std::filesystem::exists(dir / "students.tbl"));
+}
+
+TEST_F(DatabaseTest, OpenFinishesADropCutBeforeItsManifestSave) {
+  const std::filesystem::path dir(dir_);
+  const std::string crash_dir = dir_ + "_crash_image";
+  std::filesystem::remove_all(crash_dir);
+  std::string mapped_manifest;
+  std::string mapped_file;
+  {
+    auto db = Database::Open(dir_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)
+                    ->CreateRelation("r", Schema::OfStrings({"K", "P"}),
+                                     {0, 1})
+                    .ok());
+    ASSERT_TRUE((*db)->Insert("r", FlatTuple{V("k"), V("p")}).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    mapped_manifest =
+        *Env::Default()->ReadFileToString((dir / "MANIFEST.nf2").string());
+    mapped_file = *Env::Default()->ReadFileToString((dir / "r.tbl").string());
+    ASSERT_TRUE((*db)->DropRelation("r").ok());
+  }
+  // Put the manifest that maps r.tbl and the file back: the state of a
+  // DROP cut after its catalog save (the catalog no longer names r).
+  ASSERT_TRUE(Env::Default()
+                  ->WriteFileAtomic((dir / "MANIFEST.nf2").string(),
+                                    mapped_manifest)
+                  .ok());
+  ASSERT_TRUE(Env::Default()
+                  ->WriteFileAtomic((dir / "r.tbl").string(), mapped_file)
+                  .ok());
+  {
+    auto db = Database::Open(dir_);
+    ASSERT_TRUE(db.ok()) << db.status();
+    EXPECT_FALSE((*db)->Info("r").ok());
+    Result<Manifest> manifest =
+        LoadManifest(Env::Default(), (dir / "MANIFEST.nf2").string());
+    ASSERT_TRUE(manifest.ok()) << manifest.status();
+    EXPECT_EQ(manifest->tables.count("r.tbl"), 0u);
+    EXPECT_FALSE(std::filesystem::exists(dir / "r.tbl"));
+    // A new r of another shape must never meet the old mapping.
+    ASSERT_TRUE((*db)
+                    ->CreateRelation("r", Schema::OfStrings({"A", "B", "C"}),
+                                     {0, 1, 2})
+                    .ok());
+    ASSERT_TRUE((*db)->Insert("r", FlatTuple{V("a"), V("b"), V("c")}).ok());
+    std::filesystem::copy(dir_, crash_dir,
+                          std::filesystem::copy_options::recursive);
+  }
+  auto db = Database::Open(crash_dir);
+  ASSERT_TRUE(db.ok()) << db.status();
+  Result<FlatRelation> scan = (*db)->Scan("r");
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->size(), 1u);
+  EXPECT_EQ(scan->schema().degree(), 3u);
+  db->reset();
+  std::filesystem::remove_all(crash_dir);
+}
+
+TEST_F(DatabaseTest, ManifestWithoutCatalogFailsOpenClosed) {
+  {
+    auto db = Database::Open(dir_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(CreateStudents(db->get()).ok());
+    ASSERT_TRUE((*db)->Insert("students", Scb("s1", "c1", "b1")).ok());
+  }
+  ASSERT_TRUE(
+      std::filesystem::remove(std::filesystem::path(dir_) / "catalog.nf2"));
+  // Every mapping would look like a DROP to finish; deleting the table
+  // files on a lost catalog is not recovery.
+  auto db = Database::Open(dir_);
+  EXPECT_EQ(db.status().code(), StatusCode::kCorruption) << db.status();
+  EXPECT_TRUE(
+      std::filesystem::exists(std::filesystem::path(dir_) / "students.tbl"));
 }
 
 }  // namespace

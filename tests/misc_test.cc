@@ -1,17 +1,13 @@
 // Coverage for smaller surfaces: statistics, logging, predicates'
-// helpers, rendering edge cases, WAL record names, buffer-pool corner
-// configurations.
+// helpers, rendering edge cases, WAL record names.
 
 #include <gtest/gtest.h>
-
-#include <filesystem>
 
 #include "algebra/predicate.h"
 #include "core/format.h"
 #include "core/nest.h"
 #include "core/update.h"
 #include "engine/statistics.h"
-#include "storage/buffer_pool.h"
 #include "storage/serde.h"
 #include "storage/wal.h"
 #include "tests/test_util.h"
@@ -118,28 +114,6 @@ TEST(WalTest, OpTypeNames) {
   EXPECT_STREQ(WalOpTypeToString(WalOpType::kTxnAbort), "TXN_ABORT");
 }
 
-TEST(BufferPoolTest, CapacityOneStillWorks) {
-  auto dir = std::filesystem::temp_directory_path() / "nf2_misc_pool";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  auto hf = HeapFile::Create((dir / "t.nf2").string());
-  ASSERT_TRUE(hf.ok());
-  BufferPool pool(hf->get(), 1);
-  for (int i = 0; i < 3; ++i) {
-    auto allocated = pool.Allocate();
-    ASSERT_TRUE(allocated.ok());
-    allocated->second->Insert(StrCat("page ", allocated->first));
-    pool.MarkDirty(allocated->first);
-  }
-  EXPECT_EQ(pool.resident_pages(), 1u);
-  for (PageId id = 0; id < 3; ++id) {
-    auto page = pool.Fetch(id);
-    ASSERT_TRUE(page.ok());
-    EXPECT_EQ(*(*page)->Read(0), StrCat("page ", id));
-  }
-  std::filesystem::remove_all(dir);
-}
-
 TEST(LoggingTest, ThresholdControlsEmission) {
   LogLevel old_threshold = GetLogThreshold();
   SetLogThreshold(LogLevel::kError);
@@ -174,13 +148,6 @@ TEST(CanonicalRelationTest, ContainsRejectsWrongDegree) {
   CanonicalRelation rel(Schema::OfStrings({"A", "B"}), {0, 1});
   EXPECT_FALSE(rel.Contains(FlatTuple{V("x")}));
   EXPECT_FALSE(rel.Contains(FlatTuple{V("x"), V("y"), V("z")}));
-}
-
-TEST(RecordIdTest, ToStringAndValidity) {
-  RecordId rid{3, 7};
-  EXPECT_EQ(rid.ToString(), "(page=3, slot=7)");
-  EXPECT_TRUE(rid.valid());
-  EXPECT_FALSE(RecordId{}.valid());
 }
 
 }  // namespace

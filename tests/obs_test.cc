@@ -176,9 +176,9 @@ TEST(RegistryTest, PrometheusTextFormat) {
 }
 
 TEST(MetricHandlesTest, NullRegistryYieldsNoopHandles) {
-  BufferPoolMetrics pool = BufferPoolMetrics::ForRegistry(nullptr);
-  EXPECT_EQ(pool.hits, nullptr);
-  EXPECT_EQ(pool.writebacks, nullptr);
+  CheckpointMetrics ckpt = CheckpointMetrics::ForRegistry(nullptr);
+  EXPECT_EQ(ckpt.pages_written, nullptr);
+  EXPECT_EQ(ckpt.tables_skipped, nullptr);
   UpdatePathMetrics upd = UpdatePathMetrics::ForRegistry(nullptr);
   EXPECT_EQ(upd.compositions, nullptr);
   EXPECT_EQ(upd.recons_ns, nullptr);
@@ -186,14 +186,14 @@ TEST(MetricHandlesTest, NullRegistryYieldsNoopHandles) {
 
 TEST(MetricHandlesTest, ForRegistryBindsCanonicalNames) {
   MetricsRegistry reg;
-  BufferPoolMetrics pool = BufferPoolMetrics::ForRegistry(&reg);
-  ASSERT_NE(pool.misses, nullptr);
-  pool.misses->Increment(2);
+  CheckpointMetrics ckpt = CheckpointMetrics::ForRegistry(&reg);
+  ASSERT_NE(ckpt.pages_skipped, nullptr);
+  ckpt.pages_skipped->Increment(2);
   UpdatePathMetrics upd = UpdatePathMetrics::ForRegistry(&reg);
   ASSERT_NE(upd.compositions, nullptr);
   upd.compositions->Increment(3);
   MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.counter("nf2_pool_misses_total"), 2u);
+  EXPECT_EQ(snap.counter("nf2_checkpoint_pages_skipped_total"), 2u);
   EXPECT_EQ(snap.counter("nf2_compo_total"), 3u);
 }
 

@@ -2,10 +2,11 @@
 // the stored schema, nest order, page statistics, and every live tuple.
 //
 // Table files are shadow-paged by incremental checkpoints (DESIGN.md
-// §12): when a MANIFEST.nf2 in the file's directory maps this file, the
-// flat byte order contains stale page versions and only the manifest's
-// logical->physical mapping is the live view — the dump follows it and
-// says so. Without a (matching) manifest entry the file is read flat.
+// §12): the flat byte order holds stale page versions, and only the
+// logical->physical mapping in the MANIFEST.nf2 beside the file is the
+// live view. The dump reads through that mapping; a file the manifest
+// does not map (a relation created since the last checkpoint, or a
+// leftover) has no live view, and the dump exits 1 saying so.
 //
 //   $ nf2_dump <table_file> [--tuples] [--shard <i>]
 //
@@ -22,7 +23,6 @@
 #include "core/format.h"
 #include "storage/checkpoint.h"
 #include "storage/env.h"
-#include "storage/table.h"
 #include "util/string_util.h"
 
 int main(int argc, char** argv) {
@@ -50,105 +50,59 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Prefer the checkpoint manifest's page mapping when it covers this
-  // file: that is the live view of a shadow-paged table.
   std::filesystem::path path(argv[1]);
-  std::string shard_path;
   if (shard >= 0) {
     path = path.parent_path() / ("shard-" + std::to_string(shard)) /
            path.filename();
-    shard_path = path.string();
-    argv[1] = shard_path.data();
   }
+  const std::string file = path.string();
   nf2::Env* env = nf2::Env::Default();
   auto manifest = nf2::LoadManifest(
       env, (path.parent_path() / "MANIFEST.nf2").string());
+  const nf2::TableManifest* entry = nullptr;
   if (manifest.ok()) {
     auto it = manifest->tables.find(path.filename().string());
-    if (it != manifest->tables.end() && !it->second.pages.empty() &&
-        nf2::ProbeTableFileId(env, argv[1]) == it->second.file_id) {
-      auto mapped = nf2::ReadTableMapped(env, argv[1], it->second);
-      if (!mapped.ok()) {
-        std::fprintf(stderr, "mapped read failed: %s\n",
-                     mapped.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("table file : %s\n", argv[1]);
-      std::printf("view       : MANIFEST.nf2 mapping (%zu logical pages, "
-                  "%llu physical)\n",
-                  it->second.pages.size(),
-                  static_cast<unsigned long long>(it->second.physical_pages));
-      std::printf("schema     : %s\n", mapped->schema.ToString().c_str());
-      std::vector<std::string> order_names;
-      for (size_t p : mapped->nest_order) {
-        order_names.push_back(mapped->schema.attribute(p).name);
-      }
-      std::printf("nest order : %s\n",
-                  nf2::Join(order_names, " then ").c_str());
-      std::printf("tuples     : %zu\n", mapped->relation.size());
-      uint64_t expanded = 0;
-      for (const nf2::NfrTuple& tuple : mapped->relation.tuples()) {
-        expanded += tuple.ExpandedCount();
-      }
-      std::printf("|R*|       : %llu\n",
-                  static_cast<unsigned long long>(expanded));
-      if (show_tuples) {
-        std::printf("\n");
-        for (const nf2::NfrTuple& tuple : mapped->relation.tuples()) {
-          std::printf("%s\n", tuple.ToString(mapped->schema).c_str());
-        }
-      } else {
-        std::printf("\n%s", nf2::RenderTable(mapped->relation).c_str());
-      }
-      return 0;
-    }
+    if (it != manifest->tables.end()) entry = &it->second;
   } else if (manifest.status().code() != nf2::StatusCode::kNotFound) {
-    std::fprintf(stderr, "warning: ignoring invalid MANIFEST.nf2: %s\n",
+    std::fprintf(stderr, "cannot read MANIFEST.nf2: %s\n",
                  manifest.status().ToString().c_str());
-  }
-
-  auto table = nf2::Table::Open(argv[1]);
-  if (!table.ok()) {
-    std::fprintf(stderr, "cannot open table: %s\n",
-                 table.status().ToString().c_str());
     return 1;
   }
-  std::printf("table file : %s\n", argv[1]);
-  std::printf("view       : flat (no manifest mapping)\n");
-  std::printf("schema     : %s\n",
-              (*table)->schema().ToString().c_str());
+  if (entry == nullptr) {
+    std::fprintf(stderr, "%s is not mapped by MANIFEST.nf2\n", file.c_str());
+    return 1;
+  }
+  auto mapped = nf2::ReadTableMapped(env, file, *entry);
+  if (!mapped.ok()) {
+    std::fprintf(stderr, "mapped read failed: %s\n",
+                 mapped.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("table file : %s\n", file.c_str());
+  std::printf("view       : MANIFEST.nf2 mapping (%zu logical pages, "
+              "%llu physical)\n",
+              entry->pages.size(),
+              static_cast<unsigned long long>(entry->physical_pages));
+  std::printf("schema     : %s\n", mapped->schema.ToString().c_str());
   std::vector<std::string> order_names;
-  for (size_t p : (*table)->nest_order()) {
-    order_names.push_back((*table)->schema().attribute(p).name);
+  for (size_t p : mapped->nest_order) {
+    order_names.push_back(mapped->schema.attribute(p).name);
   }
-  std::printf("nest order : %s\n",
-              nf2::Join(order_names, " then ").c_str());
-
-  auto scanned = (*table)->ScanWithIds();
-  if (!scanned.ok()) {
-    std::fprintf(stderr, "scan failed: %s\n",
-                 scanned.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("tuples     : %zu\n", scanned->size());
+  std::printf("nest order : %s\n", nf2::Join(order_names, " then ").c_str());
+  std::printf("tuples     : %zu\n", mapped->relation.size());
   uint64_t expanded = 0;
-  for (const auto& [rid, tuple] : *scanned) {
+  for (const nf2::NfrTuple& tuple : mapped->relation.tuples()) {
     expanded += tuple.ExpandedCount();
   }
   std::printf("|R*|       : %llu\n",
               static_cast<unsigned long long>(expanded));
-
   if (show_tuples) {
     std::printf("\n");
-    for (const auto& [rid, tuple] : *scanned) {
-      std::printf("%-18s %s\n", rid.ToString().c_str(),
-                  tuple.ToString((*table)->schema()).c_str());
+    for (const nf2::NfrTuple& tuple : mapped->relation.tuples()) {
+      std::printf("%s\n", tuple.ToString(mapped->schema).c_str());
     }
   } else {
-    auto rel = (*table)->ReadAll();
-    if (rel.ok()) {
-      std::printf("\n%s", nf2::RenderTable(*rel).c_str());
-    }
+    std::printf("\n%s", nf2::RenderTable(mapped->relation).c_str());
   }
   return 0;
 }

@@ -170,6 +170,15 @@ wait "$SERVER_PID" || EXIT_CODE=$?
 SERVER_PID=""
 grep -q "shutting down" "$LOG" || { cat "$LOG"; echo "no shutdown line"; exit 1; }
 
+# That checkpoint mapped takes.tbl in MANIFEST.nf2, the only view
+# nf2_dump reads: 3 rows from the first leg + eve + mia.
+DUMP=$("$BUILD_DIR/tools/nf2_dump" "$DB_DIR/db/takes.tbl") || {
+  echo "nf2_dump failed"; echo "$DUMP"; exit 1; }
+echo "$DUMP" | grep -q "^view       : MANIFEST.nf2 mapping" || {
+  echo "nf2_dump did not read through the manifest"; echo "$DUMP"; exit 1; }
+echo "$DUMP" | grep -q "^|R\*|       : 5$" || {
+  echo "nf2_dump tuple count mismatch"; echo "$DUMP"; exit 1; }
+
 # The shutdown checkpoint made the data durable: a fresh daemon serves it.
 "$NF2D" "$DB_DIR/db" --port 0 >"$LOG.2" 2>&1 &
 SERVER_PID=$!
