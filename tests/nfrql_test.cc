@@ -5,6 +5,7 @@
 #include "nfrql/executor.h"
 #include "nfrql/lexer.h"
 #include "nfrql/parser.h"
+#include "server/session.h"
 #include "util/string_util.h"
 
 namespace nf2 {
@@ -620,6 +621,139 @@ TEST_F(ExecutorTest, ProfileCountsMatchUpdateStatsAndRegistry) {
   EXPECT_EQ(after.counter("nf2_inserts_total") -
                 before.counter("nf2_inserts_total"),
             3u);
+}
+
+// Exact reply bytes for one statement of each kind. The other tests
+// look for substrings; this one pins whole replies, so a change to how
+// any result renders shows up here.
+TEST_F(ExecutorTest, GoldenRepliesPinEveryStatementKind) {
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"LIST", "no relations"},
+      {"CREATE RELATION r (K STRING, V INT, G STRING) FD K -> V, G",
+       "created relation r nest order [V, G, K]"},
+      {"INSERT INTO r VALUES (k1, 5, g1), (k2, 3, g2), (k3, 8, g1), "
+       "(k4, 1, g2)",
+       "inserted 4 tuple(s) into r"},
+      {"UPDATE r SET V = 9 WHERE K = k3", "updated 1 tuple(s) in r"},
+      {"DELETE FROM r WHERE V < 2", "deleted 1 tuple(s) from r"},
+      {"DELETE FROM r VALUES (k2, 3, g2)", "deleted 1 tuple(s) from r"},
+      {"INSERT INTO r VALUES (k5, 3, g2)", "inserted 1 tuple(s) into r"},
+      {"SELECT * FROM r",
+       "+----+---+----+\n"
+       "| K  | V | G  |\n"
+       "+----+---+----+\n"
+       "| k1 | 5 | g1 |\n"
+       "| k3 | 9 | g1 |\n"
+       "| k5 | 3 | g2 |\n"
+       "+----+---+----+\n"
+       "3 row(s)"},
+      {"SELECT G FROM r",
+       "+----+\n"
+       "| G  |\n"
+       "+----+\n"
+       "| g1 |\n"
+       "| g2 |\n"
+       "+----+\n"
+       "2 row(s)"},
+      {"SELECT * FROM r ORDER BY V DESC LIMIT 2",
+       "+----+---+----+\n"
+       "| K  | V | G  |\n"
+       "+----+---+----+\n"
+       "| k3 | 9 | g1 |\n"
+       "| k1 | 5 | g1 |\n"
+       "+----+---+----+\n"
+       "2 row(s)"},
+      {"SELECT * FROM r WHERE V > 1000",
+       "+---+---+---+\n"
+       "| K | V | G |\n"
+       "+---+---+---+\n"
+       "+---+---+---+\n"
+       "0 row(s)"},
+      {"SELECT COUNT(*) FROM r", "3"},
+      {"SELECT MIN(V) FROM r WHERE V > 1000", "null"},
+      {"SELECT G, COUNT(*) FROM r GROUP BY G", "g1\t2\ng2\t1\n2 group(s)"},
+      {"DESCRIBE r",
+       "relation  : r\n"
+       "schema    : (K STRING, V INT, G STRING)\n"
+       "nest order: V then G then K\n"
+       "FDs       : {{K}->{V,G}}\n"
+       "size      : 3 NFR tuples, |R*|=3, reduction x1"},
+      {"CREATE RELATION t (A STRING, B STRING) NEST A, B",
+       "created relation t nest order [A, B]"},
+      {"INSERT INTO t VALUES (a1, b1), (a2, b1), (a1, b2)",
+       "inserted 3 tuple(s) into t"},
+      {"SHOW t",
+       "t\n"
+       "+--------+----+\n"
+       "| A      | B  |\n"
+       "+--------+----+\n"
+       "| a1     | b2 |\n"
+       "| a1, a2 | b1 |\n"
+       "+--------+----+\n"},
+      {"NEST t ON B",
+       "NEST t ON B\n"
+       "+--------+----+\n"
+       "| A      | B  |\n"
+       "+--------+----+\n"
+       "| a1     | b2 |\n"
+       "| a1, a2 | b1 |\n"
+       "+--------+----+\n"},
+      {"UNNEST t ON A",
+       "UNNEST t ON A\n"
+       "+----+----+\n"
+       "| A  | B  |\n"
+       "+----+----+\n"
+       "| a1 | b1 |\n"
+       "| a1 | b2 |\n"
+       "| a2 | b1 |\n"
+       "+----+----+\n"},
+      {"LIST", "r\nt"},
+      {"BEGIN", "transaction started"},
+      {"COMMIT", "transaction committed"},
+      {"BEGIN", "transaction started"},
+      {"ROLLBACK", "transaction rolled back"},
+      {"CHECKPOINT", "checkpoint complete"},
+      {"EXPLAIN SELECT * FROM r WHERE K = k1",
+       "EXPLAIN\n"
+       "select(r)\n"
+       "└─ index_scan(r: K = k1)\n"},
+  };
+  for (const auto& [stmt, want] : golden) {
+    EXPECT_EQ(Must(stmt), want) << stmt;
+  }
+  // STATS ends in wall-clock timings; everything before them is exact.
+  EXPECT_TRUE(Must("STATS r").starts_with(
+      "r: 3 NFR tuples (143 bytes) vs 3 1NF tuples (103 bytes); "
+      "reduction x1 tuples, x0.72028 bytes; dict 16 values; updates "
+      "{compositions=0 decompositions=0 recons_calls=6 candidate_scans=0 "
+      "recons_ns="))
+      << Must("STATS r");
+  EXPECT_EQ(Must("DROP RELATION t"), "dropped relation t");
+  EXPECT_EQ(Must("DROP RELATION r"), "dropped relation r");
+  EXPECT_EQ(Must("LIST"), "no relations");
+}
+
+// PROFILE through a Session: the reply is the statement's own reply,
+// the timed span tree, then one line saying whether the parse came
+// from the statement cache.
+TEST_F(ExecutorTest, GoldenProfileTrailerThroughASession) {
+  server::SessionManager manager(db_.get());
+  std::unique_ptr<server::Session> session = manager.NewSession();
+  ASSERT_TRUE(
+      session->Execute("CREATE RELATION t (A STRING, B STRING) NEST A, B")
+          .ok());
+  ASSERT_TRUE(
+      session->Execute("INSERT INTO t VALUES (a1, b1), (a2, b1)").ok());
+  for (const char* cache : {"miss", "hit"}) {
+    Result<std::string> out =
+        session->Execute("PROFILE SELECT COUNT(*) FROM t");
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_TRUE(out->starts_with("2\n\nPROFILE\nselect(t) [")) << *out;
+    EXPECT_NE(out->find("\n└─ nfr_aggregate(COUNT(*)) ["), std::string::npos)
+        << *out;
+    EXPECT_TRUE(out->ends_with(StrCat("\nstatement cache: ", cache)))
+        << *out;
+  }
 }
 
 TEST_F(ExecutorTest, MetricsTextSurfacesEngineCounters) {

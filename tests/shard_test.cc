@@ -145,6 +145,7 @@ std::vector<std::string> OracleBattery() {
   // Point reads: equality on the partition attribute.
   s.push_back("SELECT * FROM r WHERE K = k3");
   s.push_back("SELECT COUNT(*) FROM r WHERE K = k3");
+  s.push_back("EXPLAIN SELECT * FROM r WHERE K = k3");
   // Scattered reads across every merge path.
   s.push_back("SELECT * FROM r");
   s.push_back("SELECT G FROM r");
@@ -163,6 +164,10 @@ std::vector<std::string> OracleBattery() {
   s.push_back("SELECT G, COUNT(K), SUM(V), MIN(V), MAX(V) FROM r GROUP BY G");
   s.push_back("SELECT G, COUNT(G) FROM r GROUP BY G");
   s.push_back("SELECT G, SUM(V) FROM r GROUP BY G ORDER BY G DESC");
+  s.push_back("SELECT G, COUNT(*) FROM r GROUP BY G ORDER BY G DESC LIMIT 1");
+  // Empty results: a box with no rows, and MIN over nothing.
+  s.push_back("SELECT * FROM r WHERE V > 1000");
+  s.push_back("SELECT MIN(V) FROM r WHERE V > 1000");
   // Range predicates (index_range_scan under the hood).
   s.push_back("SELECT * FROM r WHERE V >= 5");
   s.push_back("SELECT * FROM r WHERE V > 3 ORDER BY V");
@@ -172,6 +177,7 @@ std::vector<std::string> OracleBattery() {
   s.push_back("UPDATE r SET G = g9 WHERE V = 100");
   s.push_back("DELETE FROM r WHERE K = k7");
   s.push_back("DELETE FROM r WHERE V > 89");
+  s.push_back("DELETE FROM r WHERE V > 5000");  // Matches nothing.
   s.push_back("DELETE FROM r VALUES (k0, 0, g0)");
   s.push_back("SELECT * FROM r ORDER BY K");
   // Recomposed statement surfaces.
@@ -187,6 +193,11 @@ std::vector<std::string> OracleBattery() {
   s.push_back("SELECT * FROM r ORDER BY K");
   s.push_back("SELECT COUNT(*) FROM r");
   s.push_back("COMMIT");
+  s.push_back("SELECT * FROM r ORDER BY K");
+  s.push_back("BEGIN");
+  s.push_back("INSERT INTO r VALUES (k51, 51, g0)");
+  s.push_back("ROLLBACK");
+  s.push_back("UPDATE r SET G = g7");  // No WHERE: every row, every shard.
   s.push_back("SELECT * FROM r ORDER BY K");
   // Errors must carry the single-engine text.
   s.push_back("SELECT * FROM nope");
