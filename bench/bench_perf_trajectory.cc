@@ -1,6 +1,6 @@
 // Perf-trajectory harness: times the dictionary-encoded hot paths
 // against the retained Value-keyed legacy paths on the same workloads
-// and emits a machine-readable JSON file (default BENCH_PR9.json, or
+// and emits a machine-readable JSON file (default BENCH_PR13.json, or
 // argv[1]) so successive PRs leave a comparable throughput record.
 // argv[2] overrides the workload row count (CI runs a small smoke
 // workload; section names and per-op rates stay comparable).
@@ -920,9 +920,8 @@ void WriteJson(const std::string& path, const KeyedConfig& config,
   std::ofstream file(path, std::ios::trunc);
   NF2_CHECK(file.is_open()) << "cannot write " << path;
   file << "{\n";
-  file << "  \"pr\": 10,\n";
-  file << "  \"title\": \"WAL-shipped read replicas with monotone "
-          "epoch:lsn stream positions\",\n";
+  file << "  \"pr\": 13,\n";
+  file << "  \"title\": \"One result type rendered once, one read view\",\n";
   // Scaling sections are only meaningful relative to the host's core
   // count; the checker reads this to decide whether to enforce floors.
   file << "  \"host_cores\": " << std::thread::hardware_concurrency()
@@ -1055,7 +1054,7 @@ void WriteJson(const std::string& path, const KeyedConfig& config,
 }
 
 int Main(int argc, char** argv) {
-  std::string out_path = argc > 1 ? argv[1] : "BENCH_PR10.json";
+  std::string out_path = argc > 1 ? argv[1] : "BENCH_PR13.json";
   const size_t workload_rows =
       argc > 2 ? static_cast<size_t>(std::stoul(argv[2])) : 10000;
   NF2_CHECK(workload_rows >= 100) << "workload needs at least 100 rows";

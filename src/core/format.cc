@@ -54,14 +54,33 @@ std::string RenderGrid(const std::string& title,
   return out;
 }
 
+std::vector<std::string> Header(const Schema& schema) {
+  std::vector<std::string> header;
+  header.reserve(schema.degree());
+  for (const Attribute& attr : schema.attributes()) {
+    header.push_back(attr.name);
+  }
+  return header;
+}
+
+std::string RenderFlat(const std::string& title, const Schema& schema,
+                       const std::vector<FlatTuple>& tuples) {
+  std::vector<std::vector<std::string>> rows;
+  rows.reserve(tuples.size());
+  for (const FlatTuple& t : tuples) {
+    std::vector<std::string> row;
+    row.reserve(t.degree());
+    for (const Value& v : t.values()) {
+      row.push_back(v.ToString());
+    }
+    rows.push_back(std::move(row));
+  }
+  return RenderGrid(title, Header(schema), rows);
+}
+
 }  // namespace
 
 std::string RenderTable(const NfrRelation& rel, const std::string& title) {
-  std::vector<std::string> header;
-  header.reserve(rel.degree());
-  for (const Attribute& attr : rel.schema().attributes()) {
-    header.push_back(attr.name);
-  }
   std::vector<NfrTuple> sorted = rel.tuples();
   std::sort(sorted.begin(), sorted.end());
   std::vector<std::vector<std::string>> rows;
@@ -78,26 +97,16 @@ std::string RenderTable(const NfrRelation& rel, const std::string& title) {
     }
     rows.push_back(std::move(row));
   }
-  return RenderGrid(title, header, rows);
+  return RenderGrid(title, Header(rel.schema()), rows);
 }
 
 std::string RenderTable(const FlatRelation& rel, const std::string& title) {
-  std::vector<std::string> header;
-  header.reserve(rel.degree());
-  for (const Attribute& attr : rel.schema().attributes()) {
-    header.push_back(attr.name);
-  }
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(rel.size());
-  for (const FlatTuple& t : rel.tuples()) {
-    std::vector<std::string> row;
-    row.reserve(rel.degree());
-    for (const Value& v : t.values()) {
-      row.push_back(v.ToString());
-    }
-    rows.push_back(std::move(row));
-  }
-  return RenderGrid(title, header, rows);
+  return RenderFlat(title, rel.schema(), rel.tuples());
+}
+
+std::string RenderRows(const Schema& schema,
+                       const std::vector<FlatTuple>& rows) {
+  return RenderFlat("", schema, rows);
 }
 
 }  // namespace nf2

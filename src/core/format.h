@@ -2,6 +2,7 @@
 #define NF2_CORE_FORMAT_H_
 
 #include <string>
+#include <vector>
 
 #include "core/relation.h"
 
@@ -23,6 +24,11 @@ std::string RenderTable(const NfrRelation& rel, const std::string& title = "");
 /// Same rendering for a 1NF relation.
 std::string RenderTable(const FlatRelation& rel,
                         const std::string& title = "");
+
+/// The same box for 1NF rows, untitled, in the order given: ORDER BY
+/// output must not be re-sorted by the renderer.
+std::string RenderRows(const Schema& schema,
+                       const std::vector<FlatTuple>& rows);
 
 }  // namespace nf2
 

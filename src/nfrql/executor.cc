@@ -1,7 +1,5 @@
 #include "nfrql/executor.h"
 
-#include <algorithm>
-
 #include "core/format.h"
 #include "core/nest.h"
 #include "exec/plan.h"
@@ -157,103 +155,50 @@ void AttachPlan(const PlanOp& op, SpanNode* parent, bool with_stats) {
   }
 }
 
-/// CatalogView over the live database.
-class LiveCatalog : public CatalogView {
- public:
-  explicit LiveCatalog(const Database* db) : db_(db) {}
-
-  Result<BoundRelation> Bind(const std::string& name) const override {
-    BoundRelation out;
-    NF2_ASSIGN_OR_RETURN(out.info, db_->Info(name));
-    NF2_ASSIGN_OR_RETURN(out.relation, db_->Canonical(name));
-    return out;
-  }
-
-  const ValueDictionary* frozen_dictionary() const override {
-    return nullptr;
-  }
-
- private:
-  const Database* db_;
-};
-
-/// CatalogView over a pinned snapshot: lookups resolve against the
-/// frozen dictionary and never touch live engine structures. The
-/// executor holds the snapshot shared_ptr for the statement's
-/// duration, which keeps every bound RelationVersion alive.
-class SnapshotCatalog : public CatalogView {
- public:
-  explicit SnapshotCatalog(const DatabaseSnapshot* snap) : snap_(snap) {}
-
-  Result<BoundRelation> Bind(const std::string& name) const override {
-    std::shared_ptr<const DatabaseSnapshot::RelationVersion> version =
-        snap_->FindVersion(name);
-    if (version == nullptr) {
-      return Status::NotFound(StrCat("relation '", name, "' not found"));
-    }
-    return BoundRelation{&version->info, version->relation.get()};
-  }
-
-  const ValueDictionary* frozen_dictionary() const override {
-    return snap_->dictionary().get();
-  }
-
- private:
-  const DatabaseSnapshot* snap_;
-};
+/// How a compiled SELECT's rows render.
+StatementResult::Shape ShapeOf(const SelectPlan& plan) {
+  if (plan.grouped) return StatementResult::Shape::kGrouped;
+  if (plan.aggregate) return StatementResult::Shape::kAggregate;
+  if (plan.ordered) return StatementResult::Shape::kOrdered;
+  return StatementResult::Shape::kSet;
+}
 
 }  // namespace
 
-// Exported (executor.h): the shard router's merge layer renders k-way
-// merged ORDER BY rows through the same function so sharded output is
-// byte-identical to single-engine output.
-std::string RenderRowsInOrder(const Schema& schema,
-                              const std::vector<FlatTuple>& rows) {
-  const size_t cols = schema.degree();
-  std::vector<size_t> width(cols, 0);
-  for (size_t c = 0; c < cols; ++c) {
-    width[c] = schema.attribute(c).name.size();
+StatementResult ShowResult(const std::string& name, const NfrRelation& rel) {
+  return StatementResult::Message(RenderTable(rel, name));
+}
+
+StatementResult DescribeResult(const RelationInfo& info,
+                               const RelationStats& stats) {
+  std::vector<std::string> order_names;
+  for (size_t p : info.nest_order) {
+    order_names.push_back(info.schema.attribute(p).name);
   }
-  std::vector<std::vector<std::string>> cells;
-  cells.reserve(rows.size());
-  for (const FlatTuple& row : rows) {
-    std::vector<std::string> line;
-    line.reserve(cols);
-    for (size_t c = 0; c < cols; ++c) {
-      line.push_back(row.at(c).ToString());
-      width[c] = std::max(width[c], line.back().size());
-    }
-    cells.push_back(std::move(line));
+  std::string out = StrCat("relation  : ", info.name, "\n",
+                           "schema    : ", info.schema.ToString(), "\n",
+                           "nest order: ", Join(order_names, " then "),
+                           "\n");
+  if (!info.fds.empty()) {
+    out += StrCat("FDs       : ", info.fd_set().ToString(info.schema), "\n");
   }
-  auto rule = [&]() {
-    std::string out = "+";
-    for (size_t c = 0; c < cols; ++c) {
-      out += std::string(width[c] + 2, '-');
-      out += "+";
-    }
-    out += "\n";
-    return out;
-  };
-  auto line = [&](const std::vector<std::string>& row) {
-    std::string out = "|";
-    for (size_t c = 0; c < cols; ++c) {
-      out += " " + row[c] + std::string(width[c] - row[c].size(), ' ') +
-             " |";
-    }
-    out += "\n";
-    return out;
-  };
-  std::vector<std::string> header;
-  header.reserve(cols);
-  for (size_t c = 0; c < cols; ++c) {
-    header.push_back(schema.attribute(c).name);
+  if (!info.mvds.empty()) {
+    out +=
+        StrCat("MVDs      : ", info.mvd_set().ToString(info.schema), "\n");
   }
-  std::string out = rule();
-  out += line(header);
-  out += rule();
-  for (const auto& row : cells) out += line(row);
-  out += rule();
-  return out;
+  out += StrCat("size      : ", stats.nfr_tuples, " NFR tuples, |R*|=",
+                stats.flat_tuples, ", reduction x", stats.TupleReduction());
+  return StatementResult::Message(std::move(out));
+}
+
+Result<StatementResult> NestResult(const NestStatement& stmt, NfrRelation rel) {
+  for (const std::string& attr : stmt.attributes) {
+    NF2_ASSIGN_OR_RETURN(size_t idx, rel.schema().RequireIndex(attr));
+    rel = stmt.unnest ? UnnestOn(rel, idx) : NestOn(rel, idx);
+  }
+  return StatementResult::Message(
+      RenderTable(rel, StrCat(stmt.unnest ? "UNNEST " : "NEST ", stmt.name,
+                              " ON ", Join(stmt.attributes, ", "))));
 }
 
 Result<std::string> Executor::Execute(std::string_view source) {
@@ -262,8 +207,12 @@ Result<std::string> Executor::Execute(std::string_view source) {
 }
 
 Result<std::string> Executor::Execute(const Statement& stmt) {
+  return Render(Run(stmt));
+}
+
+Result<StatementResult> Executor::Run(const Statement& stmt) {
   return std::visit(
-      [this](const auto& s) -> Result<std::string> {
+      [this](const auto& s) -> Result<StatementResult> {
         using T = std::decay_t<decltype(s)>;
         if constexpr (std::is_same_v<T, CreateStatement>) {
           return ExecCreate(s);
@@ -278,15 +227,22 @@ Result<std::string> Executor::Execute(const Statement& stmt) {
         } else if constexpr (std::is_same_v<T, SelectStatement>) {
           return ExecSelect(s);
         } else if constexpr (std::is_same_v<T, ShowStatement>) {
-          return ExecShow(s);
+          NF2_ASSIGN_OR_RETURN(const NfrRelation* rel, view_.Relation(s.name));
+          return ShowResult(s.name, *rel);
         } else if constexpr (std::is_same_v<T, DescribeStatement>) {
-          return ExecDescribe(s);
+          NF2_ASSIGN_OR_RETURN(BoundRelation bound, view_.Bind(s.name));
+          NF2_ASSIGN_OR_RETURN(RelationStats stats, view_.Stats(s.name));
+          return DescribeResult(*bound.info, stats);
         } else if constexpr (std::is_same_v<T, NestStatement>) {
-          return ExecNest(s);
+          NF2_ASSIGN_OR_RETURN(const NfrRelation* rel, view_.Relation(s.name));
+          return NestResult(s, *rel);
         } else if constexpr (std::is_same_v<T, ListStatement>) {
-          return ExecList();
+          std::vector<std::string> names = view_.List();
+          return StatementResult::Message(
+              names.empty() ? std::string("no relations") : Join(names, "\n"));
         } else if constexpr (std::is_same_v<T, StatsStatement>) {
-          return ExecStats(s);
+          NF2_ASSIGN_OR_RETURN(RelationStats stats, view_.Stats(s.name));
+          return StatementResult::Message(stats.ToString());
         } else if constexpr (std::is_same_v<T, TxnStatement>) {
           return ExecTxn(s);
         } else if constexpr (std::is_same_v<T, ExplainStatement>) {
@@ -298,7 +254,7 @@ Result<std::string> Executor::Execute(const Statement& stmt) {
       stmt);
 }
 
-Result<std::string> Executor::ExecCreate(const CreateStatement& stmt) {
+Result<StatementResult> Executor::ExecCreate(const CreateStatement& stmt) {
   std::vector<Attribute> attrs;
   for (const auto& [name, type_name] : stmt.attributes) {
     NF2_ASSIGN_OR_RETURN(ValueType type, ParseTypeName(type_name));
@@ -329,16 +285,17 @@ Result<std::string> Executor::ExecCreate(const CreateStatement& stmt) {
   for (size_t p : info->nest_order) {
     order_names.push_back(info->schema.attribute(p).name);
   }
-  return StrCat("created relation ", stmt.name, " nest order [",
-                Join(order_names, ", "), "]");
+  return StatementResult::Message(StrCat("created relation ", stmt.name,
+                                        " nest order [",
+                                        Join(order_names, ", "), "]"));
 }
 
-Result<std::string> Executor::ExecDrop(const DropStatement& stmt) {
+Result<StatementResult> Executor::ExecDrop(const DropStatement& stmt) {
   NF2_RETURN_IF_ERROR(db_->DropRelation(stmt.name));
-  return StrCat("dropped relation ", stmt.name);
+  return StatementResult::Message(StrCat("dropped relation ", stmt.name));
 }
 
-Result<std::string> Executor::ExecInsert(const InsertStatement& stmt) {
+Result<StatementResult> Executor::ExecInsert(const InsertStatement& stmt) {
   TraceSpan span(trace_, OpLabel("insert", stmt.name));
   span.AddAttr("rows_in", static_cast<int64_t>(stmt.rows.size()));
   TraceSpan apply(trace_, "recons");
@@ -349,10 +306,11 @@ Result<std::string> Executor::ExecInsert(const InsertStatement& stmt) {
     NF2_RETURN_IF_ERROR(db_->Insert(stmt.name, FlatTuple(row)));
     ++inserted;
   }
-  return StrCat("inserted ", inserted, " tuple(s) into ", stmt.name);
+  return StatementResult::Count(StatementResult::Verb::kInserted, inserted,
+                                stmt.name);
 }
 
-Result<std::string> Executor::ExecDelete(const DeleteStatement& stmt) {
+Result<StatementResult> Executor::ExecDelete(const DeleteStatement& stmt) {
   TraceSpan span(trace_, OpLabel("delete", stmt.name));
   size_t deleted = 0;
   if (!stmt.rows.empty()) {
@@ -389,10 +347,11 @@ Result<std::string> Executor::ExecDelete(const DeleteStatement& stmt) {
       ++deleted;
     }
   }
-  return StrCat("deleted ", deleted, " tuple(s) from ", stmt.name);
+  return StatementResult::Count(StatementResult::Verb::kDeleted, deleted,
+                                stmt.name);
 }
 
-Result<std::string> Executor::ExecUpdate(const UpdateStatement& stmt) {
+Result<StatementResult> Executor::ExecUpdate(const UpdateStatement& stmt) {
   TraceSpan span(trace_, OpLabel("update", stmt.name));
   NF2_ASSIGN_OR_RETURN(const RelationInfo* info, db_->Info(stmt.name));
   std::vector<std::pair<size_t, Value>> sets;
@@ -442,42 +401,13 @@ Result<std::string> Executor::ExecUpdate(const UpdateStatement& stmt) {
     }
     ++updated;
   }
-  return StrCat("updated ", updated, " tuple(s) in ", stmt.name);
+  return StatementResult::Count(StatementResult::Verb::kUpdated, updated,
+                                stmt.name);
 }
 
-Result<const RelationInfo*> Executor::ViewInfo(
-    const std::string& name) const {
-  return snapshot_ != nullptr ? snapshot_->Info(name) : db_->Info(name);
-}
-
-Result<const NfrRelation*> Executor::ViewRelation(
-    const std::string& name) const {
-  return snapshot_ != nullptr ? snapshot_->Relation(name)
-                              : db_->Relation(name);
-}
-
-Result<RelationStats> Executor::ViewStats(const std::string& name) const {
-  return snapshot_ != nullptr ? snapshot_->Stats(name) : db_->Stats(name);
-}
-
-std::vector<std::string> Executor::ViewList() const {
-  return snapshot_ != nullptr ? snapshot_->ListRelations()
-                              : db_->ListRelations();
-}
-
-Result<SelectPlan> Executor::PlanSelectStatement(
-    const SelectStatement& stmt) const {
-  if (snapshot_ != nullptr) {
-    SnapshotCatalog catalog(snapshot_.get());
-    return PlanSelect(stmt, catalog);
-  }
-  LiveCatalog catalog(db_);
-  return PlanSelect(stmt, catalog);
-}
-
-Result<std::string> Executor::ExecSelect(const SelectStatement& stmt) {
+Result<StatementResult> Executor::ExecSelect(const SelectStatement& stmt) {
   TraceSpan span(trace_, OpLabel("select", stmt.name));
-  NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelectStatement(stmt));
+  NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt, view_));
   if (trace_ != nullptr) plan.root->EnableTiming();
   plan.root->Open();
   std::vector<FlatTuple> rows;
@@ -489,97 +419,17 @@ Result<std::string> Executor::ExecSelect(const SelectStatement& stmt) {
   if (span.node() != nullptr) {
     AttachPlan(*plan.root, span.node(), /*with_stats=*/true);
   }
-  if (plan.grouped) {
-    // "group\tvalue..." lines, one per group, in pipeline order.
-    std::string out;
-    for (const FlatTuple& r : rows) {
-      std::vector<std::string> cells;
-      cells.reserve(r.degree());
-      for (const Value& v : r.values()) cells.push_back(v.ToString());
-      out += StrCat(Join(cells, "\t"), "\n");
-    }
-    out += StrCat(rows.size(), " group(s)");
-    return out;
-  }
-  if (plan.aggregate) {
-    // Ungrouped aggregates produce exactly one row, rendered bare so
-    // `SELECT COUNT(*) ...` answers are machine-friendly ("2").
-    if (rows.empty()) return std::string();
-    std::vector<std::string> cells;
-    cells.reserve(rows.front().degree());
-    for (const Value& v : rows.front().values()) {
-      cells.push_back(v.ToString());
-    }
-    return Join(cells, "\t");
-  }
-  if (plan.ordered) {
-    return StrCat(RenderRowsInOrder(plan.root->schema(), rows), rows.size(),
-                  " row(s)");
-  }
-  FlatRelation result(plan.root->schema(), std::move(rows));
-  return StrCat(RenderTable(result), result.size(), " row(s)");
+  return StatementResult::Rows(ShapeOf(plan), plan.root->schema(),
+                               std::move(rows));
 }
 
-Result<std::string> Executor::ExecShow(const ShowStatement& stmt) {
-  NF2_ASSIGN_OR_RETURN(const NfrRelation* rel, ViewRelation(stmt.name));
-  return RenderTable(*rel, stmt.name);
-}
-
-Result<std::string> Executor::ExecDescribe(const DescribeStatement& stmt) {
-  NF2_ASSIGN_OR_RETURN(const RelationInfo* info, ViewInfo(stmt.name));
-  NF2_ASSIGN_OR_RETURN(RelationStats stats, ViewStats(stmt.name));
-  std::vector<std::string> order_names;
-  for (size_t p : info->nest_order) {
-    order_names.push_back(info->schema.attribute(p).name);
-  }
-  std::string out = StrCat("relation  : ", info->name, "\n",
-                           "schema    : ", info->schema.ToString(), "\n",
-                           "nest order: ", Join(order_names, " then "),
-                           "\n");
-  if (!info->fds.empty()) {
-    out += StrCat("FDs       : ", info->fd_set().ToString(info->schema),
-                  "\n");
-  }
-  if (!info->mvds.empty()) {
-    out += StrCat("MVDs      : ", info->mvd_set().ToString(info->schema),
-                  "\n");
-  }
-  out += StrCat("size      : ", stats.nfr_tuples, " NFR tuples, |R*|=",
-                stats.flat_tuples, ", reduction x",
-                stats.TupleReduction());
-  return out;
-}
-
-Result<std::string> Executor::ExecNest(const NestStatement& stmt) {
-  NF2_ASSIGN_OR_RETURN(const NfrRelation* rel, ViewRelation(stmt.name));
-  NfrRelation view = *rel;
-  for (const std::string& attr : stmt.attributes) {
-    NF2_ASSIGN_OR_RETURN(size_t idx, view.schema().RequireIndex(attr));
-    view = stmt.unnest ? UnnestOn(view, idx) : NestOn(view, idx);
-  }
-  return RenderTable(view, StrCat(stmt.unnest ? "UNNEST " : "NEST ",
-                                  stmt.name, " ON ",
-                                  Join(stmt.attributes, ", ")));
-}
-
-Result<std::string> Executor::ExecList() {
-  std::vector<std::string> names = ViewList();
-  if (names.empty()) return std::string("no relations");
-  return Join(names, "\n");
-}
-
-Result<std::string> Executor::ExecStats(const StatsStatement& stmt) {
-  NF2_ASSIGN_OR_RETURN(RelationStats stats, ViewStats(stmt.name));
-  return stats.ToString();
-}
-
-Result<std::string> Executor::ExecCheckpoint() {
+Result<StatementResult> Executor::ExecCheckpoint() {
   TraceSpan span(trace_, "checkpoint");
   NF2_RETURN_IF_ERROR(db_->Checkpoint());
-  return std::string("checkpoint complete");
+  return StatementResult::Message("checkpoint complete");
 }
 
-Result<std::string> Executor::ExecExplain(const ExplainStatement& stmt) {
+Result<StatementResult> Executor::ExecExplain(const ExplainStatement& stmt) {
   NF2_CHECK(stmt.inner != nullptr);
   const Statement& inner = stmt.inner->stmt;
   if (!stmt.profile) {
@@ -587,18 +437,19 @@ Result<std::string> Executor::ExecExplain(const ExplainStatement& stmt) {
     if (const auto* sel = std::get_if<SelectStatement>(&inner)) {
       // SELECT: run the real planner so EXPLAIN shows exactly the
       // operator tree execution would use (index_scan vs scan, ...).
-      NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelectStatement(*sel));
+      NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(*sel, view_));
       SpanNode* root =
           plan_tree.mutable_root()->AddChild(OpLabel("select", sel->name));
       AttachPlan(*plan.root, root, /*with_stats=*/false);
     } else {
       BuildPlan(inner, plan_tree.mutable_root());
     }
-    return StrCat("EXPLAIN\n", plan_tree.Render(TraceRender::kPlanOnly));
+    return StatementResult::Message(
+        StrCat("EXPLAIN\n", plan_tree.Render(TraceRender::kPlanOnly)));
   }
   Trace trace;
   trace_ = &trace;
-  Result<std::string> result = Execute(inner);
+  Result<StatementResult> result = Run(inner);
   trace_ = nullptr;
   NF2_RETURN_IF_ERROR(result.status());
   if (trace.root().children.empty()) {
@@ -606,21 +457,21 @@ Result<std::string> Executor::ExecExplain(const ExplainStatement& stmt) {
     // (untimed) operator rather than an empty profile.
     trace.mutable_root()->AddChild(StatementLabel(inner));
   }
-  return StrCat(*result, "\n\nPROFILE\n",
-                trace.Render(TraceRender::kWithTimes));
+  result->profile = trace.Render(TraceRender::kWithTimes);
+  return result;
 }
 
-Result<std::string> Executor::ExecTxn(const TxnStatement& stmt) {
+Result<StatementResult> Executor::ExecTxn(const TxnStatement& stmt) {
   switch (stmt.kind) {
     case TxnStatement::Kind::kBegin:
       NF2_RETURN_IF_ERROR(db_->Begin());
-      return std::string("transaction started");
+      return StatementResult::Message("transaction started");
     case TxnStatement::Kind::kCommit:
       NF2_RETURN_IF_ERROR(db_->Commit());
-      return std::string("transaction committed");
+      return StatementResult::Message("transaction committed");
     case TxnStatement::Kind::kRollback:
       NF2_RETURN_IF_ERROR(db_->Rollback());
-      return std::string("transaction rolled back");
+      return StatementResult::Message("transaction rolled back");
   }
   return Status::Internal("unhandled txn kind");
 }

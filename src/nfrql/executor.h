@@ -8,81 +8,73 @@
 
 #include "engine/database.h"
 #include "engine/snapshot.h"
-#include "exec/planner.h"
+#include "exec/read_view.h"
 #include "nfrql/ast.h"
+#include "nfrql/result.h"
 #include "obs/trace.h"
 #include "util/result.h"
 
 namespace nf2 {
 
-/// Box table like RenderTable (core/format.h), but preserving the given
-/// row order — ORDER BY output must not be re-sorted by the renderer.
-/// Shared by ExecSelect and the shard router's scatter-gather merge.
-std::string RenderRowsInOrder(const Schema& schema,
-                              const std::vector<FlatTuple>& rows);
-
-/// Executes NFRQL statements against a Database, returning the rendered
-/// result text (tables, acknowledgements, statistics).
+/// Executes NFRQL statements against a Database. Run returns each
+/// statement's typed StatementResult (nfrql/result.h); Execute renders
+/// it. Sessions call Run and render once, at the protocol edge.
 ///
-/// Snapshot binding: callers running a read-only statement may bind a
-/// pinned DatabaseSnapshot first — every read the statement performs
-/// (Info/Relation/Scan/Query/Stats/List) is then answered from that
-/// immutable snapshot instead of the live database, with zero engine
-/// locks. Write/DDL/transaction statements always go to the live
-/// database regardless of binding; the server never binds a snapshot
-/// for them.
+/// Reads go through one ReadView: the snapshot bound by BindSnapshot,
+/// else the live database. A bound snapshot answers every read of a
+/// read-only statement from immutable state with zero engine locks.
+/// Write/DDL/transaction statements always go to the live database
+/// regardless of binding; the server never binds a snapshot for them.
 class Executor {
  public:
-  explicit Executor(Database* db) : db_(db) {}
-
-  /// Parses and executes one statement.
-  Result<std::string> Execute(std::string_view source);
+  explicit Executor(Database* db) : db_(db), view_(db) {}
 
   /// Executes an already-parsed statement.
+  Result<StatementResult> Run(const Statement& stmt);
+
+  /// Parses, runs and renders one statement.
+  Result<std::string> Execute(std::string_view source);
+
+  /// Render(Run(stmt)).
   Result<std::string> Execute(const Statement& stmt);
 
   /// Routes subsequent reads to `snapshot` until ClearSnapshot().
   void BindSnapshot(std::shared_ptr<const DatabaseSnapshot> snapshot) {
-    snapshot_ = std::move(snapshot);
+    view_ = ReadView(db_, std::move(snapshot));
   }
-  void ClearSnapshot() { snapshot_.reset(); }
+  void ClearSnapshot() { view_ = ReadView(db_); }
 
  private:
-  Result<std::string> ExecCreate(const CreateStatement& stmt);
-  Result<std::string> ExecDrop(const DropStatement& stmt);
-  Result<std::string> ExecInsert(const InsertStatement& stmt);
-  Result<std::string> ExecDelete(const DeleteStatement& stmt);
-  Result<std::string> ExecUpdate(const UpdateStatement& stmt);
-  Result<std::string> ExecSelect(const SelectStatement& stmt);
-  Result<std::string> ExecShow(const ShowStatement& stmt);
-  Result<std::string> ExecDescribe(const DescribeStatement& stmt);
-  Result<std::string> ExecNest(const NestStatement& stmt);
-  Result<std::string> ExecList();
-  Result<std::string> ExecStats(const StatsStatement& stmt);
-  Result<std::string> ExecCheckpoint();
-  Result<std::string> ExecTxn(const TxnStatement& stmt);
-  Result<std::string> ExecExplain(const ExplainStatement& stmt);
-
-  /// Compiles `stmt` into an operator tree against the bound view
-  /// (snapshot when pinned, live database otherwise) — shared by
-  /// ExecSelect and EXPLAIN.
-  Result<SelectPlan> PlanSelectStatement(const SelectStatement& stmt) const;
-
-  // Read dispatch: the bound snapshot when one is pinned, else the
-  // live database. Only the read-only exec functions go through these.
-  Result<const RelationInfo*> ViewInfo(const std::string& name) const;
-  Result<const NfrRelation*> ViewRelation(const std::string& name) const;
-  Result<RelationStats> ViewStats(const std::string& name) const;
-  std::vector<std::string> ViewList() const;
+  Result<StatementResult> ExecCreate(const CreateStatement& stmt);
+  Result<StatementResult> ExecDrop(const DropStatement& stmt);
+  Result<StatementResult> ExecInsert(const InsertStatement& stmt);
+  Result<StatementResult> ExecDelete(const DeleteStatement& stmt);
+  Result<StatementResult> ExecUpdate(const UpdateStatement& stmt);
+  Result<StatementResult> ExecSelect(const SelectStatement& stmt);
+  Result<StatementResult> ExecCheckpoint();
+  Result<StatementResult> ExecTxn(const TxnStatement& stmt);
+  Result<StatementResult> ExecExplain(const ExplainStatement& stmt);
 
   Database* db_;
-  /// Non-null only while a read-only statement runs against a pinned
-  /// snapshot (BindSnapshot).
-  std::shared_ptr<const DatabaseSnapshot> snapshot_;
+  ReadView view_;
   /// Non-null only while a PROFILE'd statement runs: the exec functions
   /// open TraceSpans into it (no-ops otherwise).
   Trace* trace_ = nullptr;
 };
+
+// The replies of the statements the shard router answers by
+// recomposing a relation from every shard; the executor builds them
+// the same way from one engine.
+
+/// SHOW: the relation as a titled box table.
+StatementResult ShowResult(const std::string& name, const NfrRelation& rel);
+
+/// DESCRIBE: schema, nest order, dependencies and size.
+StatementResult DescribeResult(const RelationInfo& info,
+                               const RelationStats& stats);
+
+/// NEST/UNNEST: `rel` restructured on `stmt`'s attributes, in order.
+Result<StatementResult> NestResult(const NestStatement& stmt, NfrRelation rel);
 
 }  // namespace nf2
 

@@ -30,12 +30,12 @@ void Increment(Counter* c, uint64_t n = 1) {
 /// PROFILE output grows one trailer line reporting whether the parse
 /// was served from the statement cache — the per-request view of the
 /// nf2_stmtcache_* counters.
-Result<std::string> WithCacheNote(Result<std::string> out,
-                                  const Statement& stmt, bool cache_hit) {
+Result<StatementResult> WithCacheNote(Result<StatementResult> out,
+                                      const Statement& stmt, bool cache_hit) {
   if (!out.ok()) return out;
   const auto* explain = std::get_if<ExplainStatement>(&stmt);
-  if (explain == nullptr || !explain->profile) return out;
-  return StrCat(*out, "\nstatement cache: ", cache_hit ? "hit" : "miss");
+  if (explain != nullptr && explain->profile) out->cache_hit = cache_hit;
+  return out;
 }
 
 }  // namespace
@@ -175,12 +175,12 @@ Result<std::string> Session::Execute(std::string_view statement) {
   }
   NF2_ASSIGN_OR_RETURN(ParsedStatement parsed, ParseCached(trimmed));
   if (IsReadOnlyStatement(*parsed.stmt)) {
-    return ExecuteRead(parsed, db_->PinSnapshot());
+    return Render(ExecuteRead(parsed, db_->PinSnapshot()));
   }
-  return ExecuteWrite(parsed);
+  return Render(ExecuteWrite(parsed));
 }
 
-Result<std::string> Session::ExecuteParsed(const Statement& stmt) {
+Result<StatementResult> Session::ExecuteParsed(const Statement& stmt) {
   // Non-owning view: the router keeps `stmt` alive for the call, and
   // nothing below retains the pointer past it.
   ParsedStatement parsed;
@@ -192,7 +192,7 @@ Result<std::string> Session::ExecuteParsed(const Statement& stmt) {
   return ExecuteWrite(parsed);
 }
 
-Result<std::string> Session::ExecuteRead(
+Result<StatementResult> Session::ExecuteRead(
     const ParsedStatement& parsed,
     const std::shared_ptr<const DatabaseSnapshot>& snapshot) {
   const auto start = std::chrono::steady_clock::now();
@@ -205,13 +205,13 @@ Result<std::string> Session::ExecuteRead(
   const bool own_txn =
       manager_->txn_owner_.load(std::memory_order_acquire) == id_;
   if (!own_txn) executor_.BindSnapshot(snapshot);
-  Result<std::string> out = executor_.Execute(*parsed.stmt);
+  Result<StatementResult> out = executor_.Run(*parsed.stmt);
   executor_.ClearSnapshot();
   Observe(manager_->metric_read_stmt_ns_, ElapsedNs(start));
   return WithCacheNote(std::move(out), *parsed.stmt, parsed.cache_hit);
 }
 
-Result<std::string> Session::ExecuteWrite(const ParsedStatement& parsed) {
+Result<StatementResult> Session::ExecuteWrite(const ParsedStatement& parsed) {
   const Statement& stmt = *parsed.stmt;
   const auto start = std::chrono::steady_clock::now();
   auto lock = manager_->gate_.LockExclusive();
@@ -223,7 +223,7 @@ Result<std::string> Session::ExecuteWrite(const ParsedStatement& parsed) {
         StrCat("session ", owner,
                " holds the open transaction; retry after it commits"));
   }
-  Result<std::string> out = executor_.Execute(stmt);
+  Result<StatementResult> out = executor_.Run(stmt);
   // Track the transaction slot from engine truth rather than from the
   // statement kind: a failed op inside an open transaction leaves it
   // open, COMMIT/ROLLBACK (and only they) release it. The release
@@ -251,7 +251,7 @@ std::vector<Result<std::string>> Session::ExecuteBatch(
     const std::shared_ptr<const DatabaseSnapshot> snapshot =
         db_->PinSnapshot();
     for (size_t k = 0; k < run.size(); ++k) {
-      results[run_slots[k]] = ExecuteRead(run[k], snapshot);
+      results[run_slots[k]] = Render(ExecuteRead(run[k], snapshot));
     }
     run.clear();
     run_slots.clear();
@@ -281,7 +281,7 @@ std::vector<Result<std::string>> Session::ExecuteBatch(
       continue;
     }
     flush_reads();
-    results[i] = ExecuteWrite(*parsed);
+    results[i] = Render(ExecuteWrite(*parsed));
   }
   flush_reads();
   return results;

@@ -211,7 +211,7 @@ class Session : public ClientSession {
   /// executes one statement (or one of the `\metrics [prom]` /
   /// `\sleep N` meta commands) — reads against a pinned snapshot,
   /// writes under the exclusive gate — returning the rendered result
-  /// text.
+  /// text. This is where a single engine's results are rendered.
   Result<std::string> Execute(std::string_view statement) override;
 
   /// Executes `statements` in order, returning one result per
@@ -226,9 +226,10 @@ class Session : public ClientSession {
   /// Executes one already-parsed statement, bypassing statement text
   /// and the cache — the shard router's entry point for statements it
   /// has rewritten or split per shard. Dispatches to the snapshot-read
-  /// or exclusive-write path exactly like Execute. `stmt` must outlive
-  /// the call.
-  Result<std::string> ExecuteParsed(const Statement& stmt);
+  /// or exclusive-write path exactly like Execute, but returns the
+  /// result unrendered, so the router can sum counts and merge rows as
+  /// values. `stmt` must outlive the call.
+  Result<StatementResult> ExecuteParsed(const Statement& stmt);
 
   /// Rolls back this session's open transaction, if it holds one.
   /// Called on disconnect and on server shutdown; the destructor also
@@ -255,12 +256,12 @@ class Session : public ClientSession {
   /// transaction-slot arbitration and execution. Snapshot publication
   /// (and with it rank materialization and epoch bumping) happens
   /// inside the engine at each commit boundary.
-  Result<std::string> ExecuteWrite(const ParsedStatement& parsed);
+  Result<StatementResult> ExecuteWrite(const ParsedStatement& parsed);
 
   /// Executes one read-only statement: against the live database when
   /// this session owns the open transaction (read-your-own-writes),
   /// otherwise against `snapshot`. Times it into the read histogram.
-  Result<std::string> ExecuteRead(
+  Result<StatementResult> ExecuteRead(
       const ParsedStatement& parsed,
       const std::shared_ptr<const DatabaseSnapshot>& snapshot);
 

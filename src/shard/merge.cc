@@ -7,10 +7,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/format.h"
 #include "exec/plan.h"
 #include "exec/planner.h"
-#include "nfrql/executor.h"
 #include "util/string_util.h"
 
 namespace nf2 {
@@ -18,44 +16,12 @@ namespace shard {
 
 namespace {
 
-/// CatalogView over one shard: the pinned snapshot when the context
-/// carries one (frozen dictionary, zero engine locks), the live engine
-/// otherwise (router-owned transaction only).
-class ShardCatalog : public CatalogView {
- public:
-  explicit ShardCatalog(const ShardReadContext* ctx) : ctx_(ctx) {}
-
-  Result<BoundRelation> Bind(const std::string& name) const override {
-    if (ctx_->snapshot != nullptr) {
-      std::shared_ptr<const DatabaseSnapshot::RelationVersion> version =
-          ctx_->snapshot->FindVersion(name);
-      if (version == nullptr) {
-        return Status::NotFound(StrCat("relation '", name, "' not found"));
-      }
-      return BoundRelation{&version->info, version->relation.get()};
-    }
-    BoundRelation out;
-    NF2_ASSIGN_OR_RETURN(out.info, ctx_->db->Info(name));
-    NF2_ASSIGN_OR_RETURN(out.relation, ctx_->db->Canonical(name));
-    return out;
-  }
-
-  const ValueDictionary* frozen_dictionary() const override {
-    return ctx_->snapshot != nullptr ? ctx_->snapshot->dictionary().get()
-                                     : nullptr;
-  }
-
- private:
-  const ShardReadContext* ctx_;
-};
-
 /// Plans and drains `stmt` on one shard, returning the produced rows
 /// (and, when requested, the plan's output schema).
 Result<std::vector<FlatTuple>> RunOnShard(const SelectStatement& stmt,
-                                          const ShardReadContext& ctx,
+                                          const ReadView& shard,
                                           Schema* schema_out) {
-  ShardCatalog catalog(&ctx);
-  NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt, catalog));
+  NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt, shard));
   plan.root->Open();
   std::vector<FlatTuple> rows;
   FlatTuple row;
@@ -129,9 +95,9 @@ void ApplyLimit(const std::optional<uint64_t>& limit,
 /// only possible under projection. LIMIT is pushed down per shard only
 /// in the full-row case — under projection a per-shard cut could starve
 /// the post-dedup global LIMIT.
-Result<std::string> ScatterPlain(const SelectStatement& stmt,
-                                 const std::vector<ShardReadContext>& shards,
-                                 uint64_t* merged_rows) {
+Result<StatementResult> ScatterPlain(const SelectStatement& stmt,
+                                     const std::vector<ReadView>& shards,
+                                     uint64_t* merged_rows) {
   const bool projected = !stmt.columns.empty();
   SelectStatement per = CloneSelect(stmt);
   if (projected) per.limit.reset();
@@ -146,8 +112,8 @@ Result<std::string> ScatterPlain(const SelectStatement& stmt,
   }
   if (projected) DedupeKeepFirst(&rows);
   ApplyLimit(stmt.limit, &rows);
-  FlatRelation result(schema, std::move(rows));
-  return StrCat(RenderTable(result), result.size(), " row(s)");
+  return StatementResult::Rows(StatementResult::Shape::kSet,
+                               std::move(schema), std::move(rows));
 }
 
 /// ORDER BY SELECT: per-shard runs arrive sorted (each shard ran the
@@ -155,9 +121,9 @@ Result<std::string> ScatterPlain(const SelectStatement& stmt,
 /// projection drops the order column (the planner's sort-below-project
 /// case) the shards return full-width rows and the router projects
 /// after the merge, preserving the merged order.
-Result<std::string> ScatterOrdered(const SelectStatement& stmt,
-                                   const std::vector<ShardReadContext>& shards,
-                                   uint64_t* merged_rows) {
+Result<StatementResult> ScatterOrdered(const SelectStatement& stmt,
+                                       const std::vector<ReadView>& shards,
+                                       uint64_t* merged_rows) {
   const bool projected = !stmt.columns.empty();
   const bool survives =
       !projected || std::find(stmt.columns.begin(), stmt.columns.end(),
@@ -196,8 +162,8 @@ Result<std::string> ScatterOrdered(const SelectStatement& stmt,
   }
   if (projected) DedupeKeepFirst(&rows);
   ApplyLimit(stmt.limit, &rows);
-  return StrCat(RenderRowsInOrder(out_schema, rows), rows.size(),
-                " row(s)");
+  return StatementResult::Rows(StatementResult::Shape::kOrdered,
+                               std::move(out_schema), std::move(rows));
 }
 
 /// Folds one shard's partial aggregate value into the accumulator.
@@ -240,16 +206,16 @@ struct DistinctCounts {
 
 Result<DistinctCounts> CompanionDistinct(
     const SelectStatement& stmt, const std::string& attr,
-    const std::vector<ShardReadContext>& shards) {
+    const std::vector<ReadView>& shards) {
   SelectStatement comp;
   comp.name = stmt.name;
   if (!stmt.group_attr.empty()) comp.columns.push_back(stmt.group_attr);
   comp.columns.push_back(attr);
   comp.where = CloneCondition(stmt.where.get());
   std::set<FlatTuple> uni;
-  for (const ShardReadContext& ctx : shards) {
+  for (const ReadView& shard : shards) {
     NF2_ASSIGN_OR_RETURN(std::vector<FlatTuple> part,
-                         RunOnShard(comp, ctx, nullptr));
+                         RunOnShard(comp, shard, nullptr));
     for (FlatTuple& row : part) uni.insert(std::move(row));
   }
   DistinctCounts out;
@@ -265,16 +231,18 @@ Result<DistinctCounts> CompanionDistinct(
 /// aggregate function; ORDER BY and LIMIT re-applied over the merged
 /// groups (a per-shard LIMIT over partial groups would be wrong, so it
 /// is stripped from the scattered statement).
-Result<std::string> ScatterAggregate(
-    const SelectStatement& stmt, const std::vector<ShardReadContext>& shards,
+Result<StatementResult> ScatterAggregate(
+    const SelectStatement& stmt, const std::vector<ReadView>& shards,
     const std::string& partition_attr, uint64_t* merged_rows) {
   const bool grouped = !stmt.group_attr.empty();
   const size_t agg_base = grouped ? 1 : 0;
   SelectStatement per = CloneSelect(stmt);
   per.limit.reset();
+  Schema schema;
   std::vector<std::vector<FlatTuple>> parts(shards.size());
   for (size_t i = 0; i < shards.size(); ++i) {
-    NF2_ASSIGN_OR_RETURN(parts[i], RunOnShard(per, shards[i], nullptr));
+    NF2_ASSIGN_OR_RETURN(
+        parts[i], RunOnShard(per, shards[i], i == 0 ? &schema : nullptr));
     if (merged_rows != nullptr) *merged_rows += parts[i].size();
   }
 
@@ -362,23 +330,9 @@ Result<std::string> ScatterAggregate(
                      });
   }
   ApplyLimit(stmt.limit, &rows);
-
-  if (grouped) {
-    std::string out;
-    for (const FlatTuple& row : rows) {
-      std::vector<std::string> cells;
-      cells.reserve(row.degree());
-      for (const Value& v : row.values()) cells.push_back(v.ToString());
-      out += StrCat(Join(cells, "\t"), "\n");
-    }
-    out += StrCat(rows.size(), " group(s)");
-    return out;
-  }
-  if (rows.empty()) return std::string();
-  std::vector<std::string> cells;
-  cells.reserve(rows.front().degree());
-  for (const Value& v : rows.front().values()) cells.push_back(v.ToString());
-  return Join(cells, "\t");
+  return StatementResult::Rows(grouped ? StatementResult::Shape::kGrouped
+                                       : StatementResult::Shape::kAggregate,
+                               std::move(schema), std::move(rows));
 }
 
 }  // namespace
@@ -409,10 +363,10 @@ SelectStatement CloneSelect(const SelectStatement& stmt) {
   return out;
 }
 
-Result<std::string> ScatterSelect(const SelectStatement& stmt,
-                                  const std::vector<ShardReadContext>& shards,
-                                  const std::string& partition_attr,
-                                  uint64_t* merged_rows) {
+Result<StatementResult> ScatterSelect(const SelectStatement& stmt,
+                                      const std::vector<ReadView>& shards,
+                                      const std::string& partition_attr,
+                                      uint64_t* merged_rows) {
   if (!stmt.aggregates.empty()) {
     return ScatterAggregate(stmt, shards, partition_attr, merged_rows);
   }

@@ -5,24 +5,13 @@
 #include <string>
 #include <vector>
 
-#include "engine/database.h"
-#include "engine/snapshot.h"
+#include "exec/read_view.h"
 #include "nfrql/ast.h"
+#include "nfrql/result.h"
 #include "util/result.h"
 
 namespace nf2 {
 namespace shard {
-
-/// One shard's bound read context for a scattered statement: the live
-/// engine plus, when non-null, the pinned snapshot the read executes
-/// against. A null snapshot means a live read — only safe while the
-/// router session owns the fan-out transaction, which bounces every
-/// other writer on every shard (the same read-your-own-writes argument
-/// the single-engine Session makes).
-struct ShardReadContext {
-  Database* db = nullptr;
-  std::shared_ptr<const DatabaseSnapshot> snapshot;
-};
 
 /// Deep copy of a WHERE tree (ConditionNode owns its children through
 /// unique_ptr, so statements with conditions are not copyable as-is).
@@ -34,9 +23,10 @@ std::unique_ptr<ConditionNode> CloneCondition(const ConditionNode* node);
 SelectStatement CloneSelect(const SelectStatement& stmt);
 
 /// Executes `stmt` scattered across `shards` (in shard order, each
-/// through the regular query planner) and merges the per-shard replies
-/// into the text the single-engine executor would produce for the
-/// union of the shards' data (DESIGN.md §13):
+/// through the regular query planner, reading through the shard's
+/// view) and merges the per-shard rows into the result the
+/// single-engine executor would produce for the union of the shards'
+/// data (DESIGN.md §13):
 ///   - plain SELECTs concatenate (projection duplicates deduplicated
 ///     keep-first in shard order) and re-apply LIMIT;
 ///   - ORDER BY re-merges sorted per-shard runs with a k-way heap,
@@ -49,10 +39,10 @@ SelectStatement CloneSelect(const SelectStatement& stmt);
 /// `partition_attr` names the relation's partition attribute;
 /// `merged_rows`, when non-null, is incremented by the number of
 /// per-shard rows fed into the merge (router observability).
-Result<std::string> ScatterSelect(const SelectStatement& stmt,
-                                  const std::vector<ShardReadContext>& shards,
-                                  const std::string& partition_attr,
-                                  uint64_t* merged_rows);
+Result<StatementResult> ScatterSelect(const SelectStatement& stmt,
+                                      const std::vector<ReadView>& shards,
+                                      const std::string& partition_attr,
+                                      uint64_t* merged_rows);
 
 }  // namespace shard
 }  // namespace nf2

@@ -1,16 +1,15 @@
 #include "shard/router.h"
 
-#include <charconv>
 #include <chrono>
 #include <map>
 #include <set>
 #include <thread>
 #include <utility>
 
-#include "core/format.h"
 #include "core/nest.h"
 #include "engine/statistics.h"
 #include "exec/planner.h"
+#include "nfrql/executor.h"
 #include "nfrql/parser.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -20,16 +19,23 @@ namespace shard {
 
 namespace {
 
-/// The count out of "<verb> N tuple(s) ..." mutation replies — the
-/// router sums these across shards for scattered mutations.
-uint64_t LeadingCount(const std::string& text, const std::string& verb) {
-  const std::string prefix = StrCat(verb, " ");
-  if (!text.starts_with(prefix)) return 0;
-  uint64_t n = 0;
-  const char* begin = text.data() + prefix.size();
-  const char* end = text.data() + text.size();
-  std::from_chars(begin, end, n);
-  return n;
+/// Relations partition on their own keys, so the rows a join pairs up
+/// may live on different shards.
+Status JoinUnsupported() {
+  return Status::Unimplemented(
+      "JOIN is not supported with more than one shard (relations "
+      "partition on their own keys, so join rows are not co-located)");
+}
+
+/// Folds one shard's affected-row count into `total`; the first shard's
+/// result supplies the verb and relation.
+void AddCount(StatementResult shard_result,
+              std::optional<StatementResult>* total) {
+  if (total->has_value()) {
+    (*total)->count += shard_result.count;
+  } else {
+    *total = std::move(shard_result);
+  }
 }
 
 /// Injects a shard="<i>" label into every sample line of a Prometheus
@@ -182,9 +188,13 @@ Result<std::string> RouterSession::Execute(std::string_view statement) {
   if (!trimmed.empty() && trimmed[0] == '\\') return ExecuteMeta(trimmed);
   // One shard: forward verbatim (statement cache, batch snapshot
   // sharing — everything behaves exactly like the unsharded server).
-  if (sessions_.size() == 1) return sessions_[0]->Execute(statement);
+  // A blank statement has nothing to route; shard 0 answers it exactly
+  // as a single engine does.
+  if (sessions_.size() == 1 || trimmed.empty()) {
+    return sessions_[0]->Execute(statement);
+  }
   NF2_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(trimmed));
-  return Dispatch(stmt);
+  return Render(Dispatch(stmt));
 }
 
 std::vector<Result<std::string>> RouterSession::ExecuteBatch(
@@ -215,28 +225,28 @@ std::optional<RouterSession::PartitionInfo> RouterSession::Partition(
   return out;
 }
 
-std::vector<ShardReadContext> RouterSession::MakeReadContexts() const {
-  std::vector<ShardReadContext> out;
+std::vector<ReadView> RouterSession::ReadViews() const {
+  std::vector<ReadView> out;
   out.reserve(router_->dbs_.size());
   for (const auto& db : router_->dbs_) {
-    ShardReadContext ctx;
-    ctx.db = db.get();
-    if (!own_txn_) ctx.snapshot = db->PinSnapshot();
-    out.push_back(std::move(ctx));
+    out.emplace_back(db.get(), own_txn_ ? nullptr : db->PinSnapshot());
   }
   return out;
 }
 
-Result<std::string> RouterSession::Dispatch(const Statement& stmt) {
+Result<StatementResult> RouterSession::Dispatch(const Statement& stmt) {
   return std::visit(
-      [&](const auto& s) -> Result<std::string> {
+      [&](const auto& s) -> Result<StatementResult> {
         using T = std::decay_t<decltype(s)>;
         if constexpr (std::is_same_v<T, CreateStatement>) {
           return RouteCreate(s, stmt);
         } else if constexpr (std::is_same_v<T, DropStatement>) {
-          return RouteDrop(s, stmt);
+          // A relation left half-dropped by a shard's failure is healed
+          // at the next Open.
+          router_->metric_ddl_fanout_->Increment();
+          return FanOut(stmt);
         } else if constexpr (std::is_same_v<T, InsertStatement>) {
-          return RouteInsert(s, stmt);
+          return RouteRows(s, stmt);
         } else if constexpr (std::is_same_v<T, DeleteStatement>) {
           return RouteDelete(s, stmt);
         } else if constexpr (std::is_same_v<T, UpdateStatement>) {
@@ -244,11 +254,14 @@ Result<std::string> RouterSession::Dispatch(const Statement& stmt) {
         } else if constexpr (std::is_same_v<T, SelectStatement>) {
           return RouteSelect(s, stmt);
         } else if constexpr (std::is_same_v<T, ShowStatement>) {
-          return RouteShow(s);
+          NF2_ASSIGN_OR_RETURN(Recomposed r, Recompose(ReadViews(), s.name));
+          return ShowResult(s.name, r.relation);
         } else if constexpr (std::is_same_v<T, DescribeStatement>) {
-          return RouteDescribe(s);
+          NF2_ASSIGN_OR_RETURN(Recomposed r, Recompose(ReadViews(), s.name));
+          return DescribeResult(r.info, ComputeRelationStats(r.relation));
         } else if constexpr (std::is_same_v<T, NestStatement>) {
-          return RouteNest(s);
+          NF2_ASSIGN_OR_RETURN(Recomposed r, Recompose(ReadViews(), s.name));
+          return NestResult(s, std::move(r.relation));
         } else if constexpr (std::is_same_v<T, ListStatement>) {
           // Catalogs are identical across shards (DDL fan-out), so
           // shard 0 answers for everyone.
@@ -260,93 +273,83 @@ Result<std::string> RouterSession::Dispatch(const Statement& stmt) {
         } else if constexpr (std::is_same_v<T, ExplainStatement>) {
           return RouteExplain(s, stmt);
         } else {
-          return RouteCheckpoint(stmt);
+          return FanOut(stmt);
         }
       },
       stmt);
 }
 
-Result<std::string> RouterSession::RouteInsert(const InsertStatement& s,
-                                               const Statement& whole) {
+Result<StatementResult> RouterSession::FanOut(const Statement& whole) {
+  Result<StatementResult> out = Status::Internal("no shards");
+  for (size_t i = 0; i < sessions_.size(); ++i) {
+    Result<StatementResult> res = sessions_[i]->ExecuteParsed(whole);
+    if (i == 0 || (out.ok() && !res.ok())) out = std::move(res);
+  }
+  return out;
+}
+
+template <typename RowsStatement>
+Result<StatementResult> RouterSession::RouteRows(const RowsStatement& s,
+                                                 const Statement& whole) {
   std::optional<PartitionInfo> part = Partition(s.name);
-  if (!part.has_value()) {
-    // Unknown relation (or a malformed row below): forward to shard 0
-    // so the error text is exactly the single-engine one.
+  if (!part.has_value() || s.rows.empty()) {
+    // Unknown relation, no rows, or (below) a malformed row: shard 0
+    // answers, so the reply is exactly the single-engine one.
     return sessions_[0]->ExecuteParsed(whole);
   }
-  std::vector<std::vector<std::vector<Value>>> buckets(sessions_.size());
+  std::vector<RowsStatement> subs(sessions_.size());
   for (const std::vector<Value>& row : s.rows) {
     if (row.size() != part->degree) {
       return sessions_[0]->ExecuteParsed(whole);
     }
-    buckets[ShardOf(row[part->attr], sessions_.size())].push_back(row);
+    subs[ShardOf(row[part->attr], sessions_.size())].rows.push_back(row);
   }
   router_->metric_point_->Increment();
-  uint64_t total = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i].empty()) continue;
-    InsertStatement sub;
-    sub.name = s.name;
-    sub.rows = std::move(buckets[i]);
-    Statement sub_stmt = std::move(sub);
-    // A failing row leaves earlier rows applied, exactly like the
-    // single-engine executor's per-row loop.
-    NF2_ASSIGN_OR_RETURN(std::string text,
-                         sessions_[i]->ExecuteParsed(sub_stmt));
-    total += LeadingCount(text, "inserted");
+  std::optional<StatementResult> total;
+  for (size_t i = 0; i < subs.size(); ++i) {
+    if (subs[i].rows.empty()) continue;
+    subs[i].name = s.name;
+    const Statement sub = std::move(subs[i]);
+    // Shards apply their rows in shard order, each in listed order, and
+    // the first failure stops the statement. A failing row therefore
+    // keeps the earlier shards' rows and its own shard's rows listed
+    // before it, where a single engine keeps exactly the rows listed
+    // before it (DESIGN.md §13).
+    NF2_ASSIGN_OR_RETURN(StatementResult applied,
+                         sessions_[i]->ExecuteParsed(sub));
+    AddCount(std::move(applied), &total);
   }
-  return StrCat("inserted ", total, " tuple(s) into ", s.name);
+  return *std::move(total);
 }
 
-Result<std::string> RouterSession::ScatterMutation(
-    const Statement& whole, const char* verb, const char* preposition,
-    const std::string& name) {
+Result<StatementResult> RouterSession::ScatterMutation(const Statement& whole) {
   router_->metric_scatter_->Increment();
-  uint64_t total = 0;
+  std::optional<StatementResult> total;
   for (const auto& session : sessions_) {
-    NF2_ASSIGN_OR_RETURN(std::string text, session->ExecuteParsed(whole));
-    total += LeadingCount(text, verb);
+    NF2_ASSIGN_OR_RETURN(StatementResult applied,
+                         session->ExecuteParsed(whole));
+    AddCount(std::move(applied), &total);
   }
-  return StrCat(verb, " ", total, " tuple(s) ", preposition, " ", name);
+  return *std::move(total);
 }
 
-Result<std::string> RouterSession::RouteDelete(const DeleteStatement& s,
-                                               const Statement& whole) {
+Result<StatementResult> RouterSession::RouteDelete(const DeleteStatement& s,
+                                                   const Statement& whole) {
+  if (!s.rows.empty()) return RouteRows(s, whole);
   std::optional<PartitionInfo> part = Partition(s.name);
-  if (!part.has_value()) return sessions_[0]->ExecuteParsed(whole);
-  if (!s.rows.empty()) {
-    std::vector<std::vector<std::vector<Value>>> buckets(sessions_.size());
-    for (const std::vector<Value>& row : s.rows) {
-      if (row.size() != part->degree) {
-        return sessions_[0]->ExecuteParsed(whole);
-      }
-      buckets[ShardOf(row[part->attr], sessions_.size())].push_back(row);
-    }
-    router_->metric_point_->Increment();
-    uint64_t total = 0;
-    for (size_t i = 0; i < buckets.size(); ++i) {
-      if (buckets[i].empty()) continue;
-      DeleteStatement sub;
-      sub.name = s.name;
-      sub.rows = std::move(buckets[i]);
-      Statement sub_stmt = std::move(sub);
-      NF2_ASSIGN_OR_RETURN(std::string text,
-                           sessions_[i]->ExecuteParsed(sub_stmt));
-      total += LeadingCount(text, "deleted");
-    }
-    return StrCat("deleted ", total, " tuple(s) from ", s.name);
+  if (!part.has_value() || s.where == nullptr) {
+    return sessions_[0]->ExecuteParsed(whole);
   }
-  if (s.where == nullptr) return sessions_[0]->ExecuteParsed(whole);
   std::optional<Value> eq = EqualityConjunct(s.where.get(), part->attr_name);
   if (eq.has_value()) {
     router_->metric_point_->Increment();
     return sessions_[ShardOf(*eq, sessions_.size())]->ExecuteParsed(whole);
   }
-  return ScatterMutation(whole, "deleted", "from", s.name);
+  return ScatterMutation(whole);
 }
 
-Result<std::string> RouterSession::RouteUpdate(const UpdateStatement& s,
-                                               const Statement& whole) {
+Result<StatementResult> RouterSession::RouteUpdate(const UpdateStatement& s,
+                                                   const Statement& whole) {
   std::optional<PartitionInfo> part = Partition(s.name);
   if (!part.has_value()) return sessions_[0]->ExecuteParsed(whole);
   for (const auto& [attr, literal] : s.sets) {
@@ -366,16 +369,12 @@ Result<std::string> RouterSession::RouteUpdate(const UpdateStatement& s,
       return sessions_[ShardOf(*eq, sessions_.size())]->ExecuteParsed(whole);
     }
   }
-  return ScatterMutation(whole, "updated", "in", s.name);
+  return ScatterMutation(whole);
 }
 
-Result<std::string> RouterSession::RouteSelect(const SelectStatement& s,
-                                               const Statement& whole) {
-  if (!s.joins.empty()) {
-    return Status::Unimplemented(
-        "JOIN is not supported with more than one shard (relations "
-        "partition on their own keys, so join rows are not co-located)");
-  }
+Result<StatementResult> RouterSession::RouteSelect(const SelectStatement& s,
+                                                   const Statement& whole) {
+  if (!s.joins.empty()) return JoinUnsupported();
   std::optional<PartitionInfo> part = Partition(s.name);
   if (!part.has_value()) return sessions_[0]->ExecuteParsed(whole);
   std::optional<Value> eq = EqualityConjunct(s.where.get(), part->attr_name);
@@ -387,18 +386,18 @@ Result<std::string> RouterSession::RouteSelect(const SelectStatement& s,
   }
   router_->metric_scatter_->Increment();
   uint64_t merged = 0;
-  Result<std::string> res =
-      ScatterSelect(s, MakeReadContexts(), part->attr_name, &merged);
+  Result<StatementResult> res =
+      ScatterSelect(s, ReadViews(), part->attr_name, &merged);
   router_->metric_merge_rows_->Increment(merged);
   return res;
 }
 
-Result<std::string> RouterSession::RouteCreate(const CreateStatement& s,
-                                               const Statement& whole) {
+Result<StatementResult> RouterSession::RouteCreate(const CreateStatement& s,
+                                                   const Statement& whole) {
   router_->metric_ddl_fanout_->Increment();
-  std::string reply;
+  Result<StatementResult> reply = Status::Internal("no shards");
   for (size_t i = 0; i < sessions_.size(); ++i) {
-    Result<std::string> res = sessions_[i]->ExecuteParsed(whole);
+    Result<StatementResult> res = sessions_[i]->ExecuteParsed(whole);
     if (!res.ok()) {
       // All-or-nothing: undo the shards that already created it.
       router_->metric_ddl_rollbacks_->Increment();
@@ -406,7 +405,7 @@ Result<std::string> RouterSession::RouteCreate(const CreateStatement& s,
       drop.name = s.name;
       Statement drop_stmt = std::move(drop);
       for (size_t j = 0; j < i; ++j) {
-        Result<std::string> undone = sessions_[j]->ExecuteParsed(drop_stmt);
+        Result<StatementResult> undone = sessions_[j]->ExecuteParsed(drop_stmt);
         if (!undone.ok()) {
           NF2_LOG(Warning)
               << "CREATE rollback of '" << s.name << "' failed on shard "
@@ -416,36 +415,17 @@ Result<std::string> RouterSession::RouteCreate(const CreateStatement& s,
       }
       return res.status();
     }
-    if (i == 0) reply = *std::move(res);
+    if (i == 0) reply = std::move(res);
   }
   return reply;
 }
 
-Result<std::string> RouterSession::RouteDrop(const DropStatement& s,
-                                             const Statement& whole) {
-  (void)s;
-  router_->metric_ddl_fanout_->Increment();
-  // Attempt every shard even after a failure so the catalogs converge
-  // (a relation half-dropped here is healed at the next Open anyway).
-  Status first = Status::OK();
-  std::string reply;
-  for (size_t i = 0; i < sessions_.size(); ++i) {
-    Result<std::string> res = sessions_[i]->ExecuteParsed(whole);
-    if (!res.ok()) {
-      if (first.ok()) first = res.status();
-    } else if (i == 0) {
-      reply = *std::move(res);
-    }
-  }
-  if (!first.ok()) return first;
-  return reply;
-}
-
-Result<std::string> RouterSession::RouteTxn(const TxnStatement& s,
-                                            const Statement& whole) {
+Result<StatementResult> RouterSession::RouteTxn(const TxnStatement& s,
+                                                const Statement& whole) {
   if (s.kind == TxnStatement::Kind::kBegin) {
+    Result<StatementResult> started = Status::Internal("no shards");
     for (size_t i = 0; i < sessions_.size(); ++i) {
-      Result<std::string> res = sessions_[i]->ExecuteParsed(whole);
+      Result<StatementResult> res = sessions_[i]->ExecuteParsed(whole);
       if (!res.ok()) {
         // Release the shards that did start a transaction.
         TxnStatement rollback;
@@ -456,46 +436,33 @@ Result<std::string> RouterSession::RouteTxn(const TxnStatement& s,
         }
         return res.status();
       }
+      if (i == 0) started = std::move(res);
     }
     own_txn_ = true;
-    return std::string("transaction started");
+    return started;
   }
-  Status first = Status::OK();
-  for (const auto& session : sessions_) {
-    Result<std::string> res = session->ExecuteParsed(whole);
-    if (!res.ok() && first.ok()) first = res.status();
-  }
+  Result<StatementResult> ended = FanOut(whole);
   own_txn_ = false;
-  if (!first.ok()) {
+  if (!ended.ok()) {
     // A shard may still hold its transaction open; keep live reads so
     // this session continues to see its own writes there.
     for (const auto& db : router_->dbs_) {
       if (db->in_transaction()) own_txn_ = true;
     }
-    return first;
   }
-  return std::string(s.kind == TxnStatement::Kind::kCommit
-                         ? "transaction committed"
-                         : "transaction rolled back");
+  return ended;
 }
 
-Result<std::string> RouterSession::RouteCheckpoint(const Statement& whole) {
-  Status first = Status::OK();
-  for (const auto& session : sessions_) {
-    Result<std::string> res = session->ExecuteParsed(whole);
-    if (!res.ok() && first.ok()) first = res.status();
-  }
-  if (!first.ok()) return first;
-  return std::string("checkpoint complete");
-}
-
-Result<std::string> RouterSession::RouteExplain(const ExplainStatement& s,
-                                                const Statement& whole) {
+Result<StatementResult> RouterSession::RouteExplain(const ExplainStatement& s,
+                                                    const Statement& whole) {
   NF2_CHECK(s.inner != nullptr);
   const Statement& inner = s.inner->stmt;
   if (const auto* sel = std::get_if<SelectStatement>(&inner)) {
+    // A plan the SELECT could not run is no answer: EXPLAIN reports the
+    // SELECT's own status.
+    if (!sel->joins.empty()) return JoinUnsupported();
     std::optional<PartitionInfo> part = Partition(sel->name);
-    if (part.has_value() && sel->joins.empty()) {
+    if (part.has_value()) {
       std::optional<Value> eq =
           EqualityConjunct(sel->where.get(), part->attr_name);
       if (eq.has_value()) {
@@ -508,10 +475,10 @@ Result<std::string> RouterSession::RouteExplain(const ExplainStatement& s,
           "PROFILE of a scattered statement is not supported; pin the "
           "partition attribute or run with --shards 1");
     }
-    NF2_ASSIGN_OR_RETURN(std::string text,
+    NF2_ASSIGN_OR_RETURN(StatementResult plan,
                          sessions_[0]->ExecuteParsed(whole));
-    return StrCat(text, "\nscatter: ", sessions_.size(),
-                  " shard(s), merged at router");
+    plan.scatter_shards = sessions_.size();
+    return plan;
   }
   if (s.profile) {
     // PROFILE executes its statement; running it on one shard would
@@ -523,97 +490,33 @@ Result<std::string> RouterSession::RouteExplain(const ExplainStatement& s,
   return sessions_[0]->ExecuteParsed(whole);
 }
 
-Result<std::string> RouterSession::Recompose(const std::string& name,
-                                             RelationInfo* info,
-                                             NfrRelation* relation) const {
+Result<RouterSession::Recomposed> RouterSession::Recompose(
+    const std::vector<ReadView>& views, const std::string& name) const {
   // Theorem 2 makes this well-defined: the union of the shards' R* has
   // exactly one canonical form under the shared nest order, so
   // re-nesting the concatenated expansions IS the global relation.
-  std::vector<ShardReadContext> contexts = MakeReadContexts();
-  bool have_info = false;
+  Recomposed out;
   std::vector<FlatTuple> rows;
-  for (const ShardReadContext& ctx : contexts) {
-    const NfrRelation* shard_rel = nullptr;
-    std::shared_ptr<const DatabaseSnapshot::RelationVersion> version;
-    if (ctx.snapshot != nullptr) {
-      version = ctx.snapshot->FindVersion(name);
-      if (version == nullptr) {
-        return Status::NotFound(StrCat("relation '", name, "' not found"));
-      }
-      if (!have_info) *info = version->info;
-      shard_rel = &version->relation->relation();
-    } else {
-      NF2_ASSIGN_OR_RETURN(const RelationInfo* live_info,
-                           ctx.db->Info(name));
-      if (!have_info) *info = *live_info;
-      NF2_ASSIGN_OR_RETURN(shard_rel, ctx.db->Relation(name));
-    }
-    have_info = true;
-    FlatRelation expanded = shard_rel->Expand();
+  for (size_t i = 0; i < views.size(); ++i) {
+    NF2_ASSIGN_OR_RETURN(BoundRelation bound, views[i].Bind(name));
+    if (i == 0) out.info = *bound.info;
+    FlatRelation expanded = bound.relation->relation().Expand();
     for (const FlatTuple& t : expanded.tuples()) rows.push_back(t);
   }
-  FlatRelation flat(info->schema, std::move(rows));
-  *relation = CanonicalForm(flat, info->nest_order);
-  return std::string();
-}
-
-Result<std::string> RouterSession::RouteShow(const ShowStatement& s) {
-  RelationInfo info;
-  NfrRelation relation;
-  NF2_RETURN_IF_ERROR(Recompose(s.name, &info, &relation).status());
-  return RenderTable(relation, s.name);
-}
-
-Result<std::string> RouterSession::RouteDescribe(const DescribeStatement& s) {
-  RelationInfo info;
-  NfrRelation relation;
-  NF2_RETURN_IF_ERROR(Recompose(s.name, &info, &relation).status());
-  RelationStats stats = ComputeRelationStats(relation);
-  std::vector<std::string> order_names;
-  for (size_t p : info.nest_order) {
-    order_names.push_back(info.schema.attribute(p).name);
-  }
-  std::string out = StrCat("relation  : ", info.name, "\n",
-                           "schema    : ", info.schema.ToString(), "\n",
-                           "nest order: ", Join(order_names, " then "),
-                           "\n");
-  if (!info.fds.empty()) {
-    out += StrCat("FDs       : ", info.fd_set().ToString(info.schema), "\n");
-  }
-  if (!info.mvds.empty()) {
-    out +=
-        StrCat("MVDs      : ", info.mvd_set().ToString(info.schema), "\n");
-  }
-  out += StrCat("size      : ", stats.nfr_tuples, " NFR tuples, |R*|=",
-                stats.flat_tuples, ", reduction x", stats.TupleReduction());
+  FlatRelation flat(out.info.schema, std::move(rows));
+  out.relation = CanonicalForm(flat, out.info.nest_order);
   return out;
 }
 
-Result<std::string> RouterSession::RouteNest(const NestStatement& s) {
-  RelationInfo info;
-  NfrRelation view;
-  NF2_RETURN_IF_ERROR(Recompose(s.name, &info, &view).status());
-  for (const std::string& attr : s.attributes) {
-    NF2_ASSIGN_OR_RETURN(size_t idx, view.schema().RequireIndex(attr));
-    view = s.unnest ? UnnestOn(view, idx) : NestOn(view, idx);
-  }
-  return RenderTable(view, StrCat(s.unnest ? "UNNEST " : "NEST ", s.name,
-                                  " ON ", Join(s.attributes, ", ")));
-}
-
-Result<std::string> RouterSession::RouteStats(const StatsStatement& s) {
-  RelationInfo info;
-  NfrRelation relation;
-  NF2_RETURN_IF_ERROR(Recompose(s.name, &info, &relation).status());
-  RelationStats stats = ComputeRelationStats(relation);
+Result<StatementResult> RouterSession::RouteStats(const StatsStatement& s) {
+  const std::vector<ReadView> views = ReadViews();
+  NF2_ASSIGN_OR_RETURN(Recomposed r, Recompose(views, s.name));
+  RelationStats stats = ComputeRelationStats(r.relation);
   stats.name = s.name;
   // Maintenance counters and dictionary sizes are per shard; report
   // their sums (each shard ran its own §4 chains).
-  std::vector<ShardReadContext> contexts = MakeReadContexts();
-  for (const ShardReadContext& ctx : contexts) {
-    Result<RelationStats> shard_stats = ctx.snapshot != nullptr
-                                            ? ctx.snapshot->Stats(s.name)
-                                            : ctx.db->Stats(s.name);
+  for (const ReadView& view : views) {
+    Result<RelationStats> shard_stats = view.Stats(s.name);
     if (!shard_stats.ok()) continue;
     stats.dict_values += shard_stats->dict_values;
     stats.update_stats.compositions += shard_stats->update_stats.compositions;
@@ -626,7 +529,7 @@ Result<std::string> RouterSession::RouteStats(const StatsStatement& s) {
         shard_stats->update_stats.find_candidate_ns;
     stats.update_stats.recons_ns += shard_stats->update_stats.recons_ns;
   }
-  return stats.ToString();
+  return StatementResult::Message(stats.ToString());
 }
 
 Result<std::string> RouterSession::ExecuteMeta(const std::string& command) {

@@ -26,8 +26,9 @@ class RouterSession;
 /// SessionProvider: each connection gets a RouterSession that
 /// classifies every statement, routes point operations (the WHERE
 /// pins the partition attribute, or INSERT/DELETE VALUES rows hash
-/// individually) to exactly one shard, and scatters everything else,
-/// merging the replies into single-engine-identical text.
+/// individually) to exactly one shard, and scatters everything else.
+/// The shards' typed results merge as values — counts add, rows merge —
+/// into the result a single engine would return, rendered once.
 ///
 /// With shards == 1 every call forwards verbatim to the one underlying
 /// SessionManager — byte-identical to the unsharded server.
@@ -100,10 +101,9 @@ class ShardRouter : public server::SessionProvider {
 };
 
 /// One client's fan-out session: a per-shard engine Session for every
-/// shard (transaction ownership, gating, and rendering per shard come
-/// from those), plus the router's classification and merge logic. Not
-/// internally synchronized — one statement (or batch) at a time, like
-/// Session.
+/// shard (transaction ownership and gating per shard come from those),
+/// plus the router's classification and merge logic. Not internally
+/// synchronized — one statement (or batch) at a time, like Session.
 class RouterSession : public server::ClientSession {
  public:
   RouterSession(uint64_t id, ShardRouter* router);
@@ -126,44 +126,47 @@ class RouterSession : public server::ClientSession {
   };
   std::optional<PartitionInfo> Partition(const std::string& name) const;
 
-  /// Live contexts while this session owns the fan-out transaction
-  /// (read-your-own-writes), pinned snapshots otherwise.
-  std::vector<ShardReadContext> MakeReadContexts() const;
+  /// One view per shard: live while this session owns the fan-out
+  /// transaction (read-your-own-writes), pinned snapshots otherwise.
+  std::vector<ReadView> ReadViews() const;
 
-  Result<std::string> Dispatch(const Statement& stmt);
-  Result<std::string> RouteInsert(const InsertStatement& s,
-                                  const Statement& whole);
-  Result<std::string> RouteDelete(const DeleteStatement& s,
-                                  const Statement& whole);
-  Result<std::string> RouteUpdate(const UpdateStatement& s,
-                                  const Statement& whole);
-  Result<std::string> RouteSelect(const SelectStatement& s,
-                                  const Statement& whole);
-  Result<std::string> RouteCreate(const CreateStatement& s,
-                                  const Statement& whole);
-  Result<std::string> RouteDrop(const DropStatement& s,
-                                const Statement& whole);
-  Result<std::string> RouteTxn(const TxnStatement& s, const Statement& whole);
-  Result<std::string> RouteCheckpoint(const Statement& whole);
-  Result<std::string> RouteExplain(const ExplainStatement& s,
+  Result<StatementResult> Dispatch(const Statement& stmt);
+  /// Runs `whole` on every shard, even after a failure, so the shards
+  /// converge (DROP, COMMIT/ROLLBACK, CHECKPOINT): the first error,
+  /// else shard 0's result.
+  Result<StatementResult> FanOut(const Statement& whole);
+  /// INSERT and DELETE ... VALUES: each row goes to the shard its
+  /// partition value hashes to; the shards' counts add up.
+  template <typename RowsStatement>
+  Result<StatementResult> RouteRows(const RowsStatement& s,
+                                    const Statement& whole);
+  /// Runs a mutation on every shard in order, adding up their counts.
+  Result<StatementResult> ScatterMutation(const Statement& whole);
+  Result<StatementResult> RouteDelete(const DeleteStatement& s,
+                                      const Statement& whole);
+  Result<StatementResult> RouteUpdate(const UpdateStatement& s,
+                                      const Statement& whole);
+  Result<StatementResult> RouteSelect(const SelectStatement& s,
+                                      const Statement& whole);
+  Result<StatementResult> RouteCreate(const CreateStatement& s,
+                                      const Statement& whole);
+  Result<StatementResult> RouteTxn(const TxnStatement& s,
                                    const Statement& whole);
-  Result<std::string> Recompose(const std::string& name, RelationInfo* info,
-                                NfrRelation* relation) const;
-  Result<std::string> RouteShow(const ShowStatement& s);
-  Result<std::string> RouteDescribe(const DescribeStatement& s);
-  Result<std::string> RouteNest(const NestStatement& s);
-  Result<std::string> RouteStats(const StatsStatement& s);
+  Result<StatementResult> RouteExplain(const ExplainStatement& s,
+                                       const Statement& whole);
+  /// Relation `name` as a single engine would hold it, re-nested from
+  /// every shard's view (SHOW, DESCRIBE, NEST, STATS).
+  struct Recomposed {
+    RelationInfo info;
+    NfrRelation relation;
+  };
+  Result<Recomposed> Recompose(const std::vector<ReadView>& views,
+                               const std::string& name) const;
+  Result<StatementResult> RouteStats(const StatsStatement& s);
 
   Result<std::string> ExecuteMeta(const std::string& command);
   std::string RenderShards() const;
   std::string RenderMetrics(bool prometheus) const;
-
-  /// Scatters a mutation to every shard in order, summing the counts
-  /// out of "<verb> N tuple(s) <preposition> <name>" replies.
-  Result<std::string> ScatterMutation(const Statement& whole,
-                                      const char* verb,
-                                      const char* preposition,
-                                      const std::string& name);
 
   uint64_t id_;
   ShardRouter* router_;

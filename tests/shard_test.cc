@@ -200,6 +200,8 @@ std::vector<std::string> OracleBattery() {
   s.push_back("UPDATE r SET G = g7");  // No WHERE: every row, every shard.
   s.push_back("SELECT * FROM r ORDER BY K");
   // Errors must carry the single-engine text.
+  s.push_back("");
+  s.push_back("   ");
   s.push_back("SELECT * FROM nope");
   s.push_back("INSERT INTO nope VALUES (x)");
   s.push_back("COMMIT");
@@ -407,6 +409,30 @@ TEST_F(ShardTest, ExplainAnnotatesScatterAndForwardsPointPlans) {
   auto profile_scatter = session->Execute("PROFILE SELECT * FROM x");
   ASSERT_FALSE(profile_scatter.ok());
   EXPECT_EQ(profile_scatter.status().code(), StatusCode::kUnimplemented);
+}
+
+// EXPLAIN describes the plan its statement would run. A JOIN cannot run
+// on more than one shard, so EXPLAIN and PROFILE of one answer with the
+// SELECT's own status rather than with a plan.
+TEST_F(ShardTest, ExplainOfAJoinAnswersWithTheSelectsStatus) {
+  auto router = OpenRouter(4);
+  ASSERT_NE(router, nullptr);
+  auto session = router->NewClientSession();
+  ASSERT_TRUE(session
+                  ->Execute("CREATE RELATION j (K STRING, V INT) FD K -> V")
+                  .ok());
+  ASSERT_TRUE(session
+                  ->Execute("CREATE RELATION k2 (V INT, W STRING) FD V -> W")
+                  .ok());
+  auto select = session->Execute("SELECT * FROM j JOIN k2");
+  ASSERT_FALSE(select.ok());
+  EXPECT_EQ(select.status().code(), StatusCode::kUnimplemented);
+  for (const char* prefix : {"EXPLAIN ", "PROFILE "}) {
+    auto explained =
+        session->Execute(StrCat(prefix, "SELECT * FROM j JOIN k2"));
+    ASSERT_FALSE(explained.ok()) << prefix << "-> " << *explained;
+    EXPECT_EQ(explained.status().ToString(), select.status().ToString());
+  }
 }
 
 // ---------------------------------------------------------------------
