@@ -292,7 +292,8 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
       op = std::make_unique<FactorizedAggregateOp>(
           StrCat("nfr_aggregate(", AggListLabel(stmt), ")"),
           std::move(source), group, std::move(aggs), std::move(out_schema));
-      plan.grouped = group.has_value();
+      plan.shape = group.has_value() ? StatementResult::Shape::kGrouped
+                                     : StatementResult::Shape::kAggregate;
     } else {
       NF2_ASSIGN_OR_RETURN(std::unique_ptr<PlanOp> input, make_row_source());
       const Schema& in_schema = input->schema();
@@ -308,9 +309,9 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
       op = std::make_unique<AggregateOp>(
           StrCat("aggregate(", AggListLabel(stmt), ")"), std::move(input),
           group, std::move(aggs), std::move(out_schema));
-      plan.grouped = group.has_value();
+      plan.shape = group.has_value() ? StatementResult::Shape::kGrouped
+                                     : StatementResult::Shape::kAggregate;
     }
-    plan.aggregate = !plan.grouped;
   } else {
     NF2_ASSIGN_OR_RETURN(op, make_row_source());
     // ORDER BY may name a column the projection drops; sort below the
@@ -326,7 +327,7 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
           StrCat("sort(", stmt.order_attr, stmt.order_desc ? " desc" : "",
                  ")"),
           std::move(op), col, stmt.order_desc);
-      plan.ordered = true;
+      plan.shape = StatementResult::Shape::kOrdered;
     }
     if (!stmt.columns.empty()) {
       std::vector<size_t> indices;
@@ -341,7 +342,8 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
     }
   }
 
-  if (!stmt.order_attr.empty() && !plan.ordered) {
+  if (!stmt.order_attr.empty() &&
+      plan.shape != StatementResult::Shape::kOrdered) {
     // Aggregate output columns are named by their canonical labels, so
     // `ORDER BY COUNT(*)` resolves like any other column.
     NF2_ASSIGN_OR_RETURN(size_t col,
@@ -350,7 +352,10 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
         StrCat("sort(", stmt.order_attr, stmt.order_desc ? " desc" : "",
                ")"),
         std::move(op), col, stmt.order_desc);
-    plan.ordered = true;
+    // Aggregates keep their own shape; the sort only orders their rows.
+    if (plan.shape == StatementResult::Shape::kSet) {
+      plan.shape = StatementResult::Shape::kOrdered;
+    }
   }
   if (stmt.limit.has_value()) {
     op = std::make_unique<LimitOp>(StrCat("limit(", *stmt.limit, ")"),

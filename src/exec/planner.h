@@ -9,6 +9,7 @@
 #include "core/update.h"
 #include "exec/plan.h"
 #include "nfrql/ast.h"
+#include "nfrql/result.h"
 #include "util/result.h"
 
 namespace nf2 {
@@ -38,9 +39,7 @@ class CatalogView {
 /// A compiled SELECT: the operator tree plus how its rows render.
 struct SelectPlan {
   std::unique_ptr<PlanOp> root;
-  bool grouped = false;    // GROUP BY: "g\tv..." lines + "N group(s)".
-  bool aggregate = false;  // Ungrouped aggregates: one bare row.
-  bool ordered = false;    // ORDER BY: keep pipeline row order.
+  StatementResult::Shape shape = StatementResult::Shape::kSet;
 };
 
 /// Rule-based planning of a SELECT against `catalog` (DESIGN.md §10):

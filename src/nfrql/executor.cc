@@ -155,14 +155,6 @@ void AttachPlan(const PlanOp& op, SpanNode* parent, bool with_stats) {
   }
 }
 
-/// How a compiled SELECT's rows render.
-StatementResult::Shape ShapeOf(const SelectPlan& plan) {
-  if (plan.grouped) return StatementResult::Shape::kGrouped;
-  if (plan.aggregate) return StatementResult::Shape::kAggregate;
-  if (plan.ordered) return StatementResult::Shape::kOrdered;
-  return StatementResult::Shape::kSet;
-}
-
 }  // namespace
 
 StatementResult ShowResult(const std::string& name, const NfrRelation& rel) {
@@ -419,7 +411,7 @@ Result<StatementResult> Executor::ExecSelect(const SelectStatement& stmt) {
   if (span.node() != nullptr) {
     AttachPlan(*plan.root, span.node(), /*with_stats=*/true);
   }
-  return StatementResult::Rows(ShapeOf(plan), plan.root->schema(),
+  return StatementResult::Rows(plan.shape, plan.root->schema(),
                                std::move(rows));
 }
 
