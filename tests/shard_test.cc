@@ -1,7 +1,8 @@
 // Tests for the sharded engine subsystem (src/shard/, DESIGN.md §13):
 // shard-map unit tests, scatter-gather routing checked reply-by-reply
-// against a single-engine oracle fed the same statement stream, merge
-// edge cases (mid-batch errors, DDL rollback), N=1 byte-interop, the
+// against a single-engine oracle fed the same statement stream, goldens
+// of the replies that depend on the shard layout, merge edge cases
+// (mid-batch errors, DDL rollback), N=1 byte-interop, the
 // EXPLAIN goldens for index_range_scan and scatter plans, and the
 // 8-session / 4-shard torture test whose final state must be
 // bit-identical to a single-engine replay.
@@ -130,10 +131,10 @@ TEST(ShardMapTest, MarkerPinsShardCount) {
 // Router vs single-engine oracle
 // ---------------------------------------------------------------------
 
-/// The statement battery both engines replay. K is key-like
-/// (FD K -> V, G), so it is the partition attribute; V is INT for the
-/// arithmetic aggregates; G induces small groups.
-std::vector<std::string> OracleBattery() {
+/// The battery relation r and its rows. K is key-like (FD K -> V, G),
+/// so it is the partition attribute; V is INT for the arithmetic
+/// aggregates; G induces small groups.
+std::vector<std::string> BatteryRelation() {
   std::vector<std::string> s;
   s.push_back(
       "CREATE RELATION r (K STRING, V INT, G STRING) FD K -> V, G");
@@ -142,6 +143,13 @@ std::vector<std::string> OracleBattery() {
                        ", g", i % 3, ")"));
   }
   s.push_back("INSERT INTO r VALUES (k90, 90, g0), (k91, 91, g1)");
+  return s;
+}
+
+/// The statement battery both engines replay, starting from
+/// BatteryRelation().
+std::vector<std::string> OracleBattery() {
+  std::vector<std::string> s = BatteryRelation();
   // Point reads: equality on the partition attribute.
   s.push_back("SELECT * FROM r WHERE K = k3");
   s.push_back("SELECT COUNT(*) FROM r WHERE K = k3");
@@ -172,6 +180,16 @@ std::vector<std::string> OracleBattery() {
   s.push_back("SELECT * FROM r WHERE V >= 5");
   s.push_back("SELECT * FROM r WHERE V > 3 ORDER BY V");
   s.push_back("SELECT COUNT(*) FROM r WHERE V <= 40");
+  // Leaves and aggregates under a residual filter: index_scan + filter,
+  // row-based aggregates, a DISTINCT count over the row stream, MIN and
+  // MAX through an index-restricted factorized source.
+  s.push_back("SELECT * FROM r WHERE G = g1 AND V > 3");
+  s.push_back("SELECT G, COUNT(*), SUM(V) FROM r WHERE V > 3 GROUP BY G");
+  s.push_back("SELECT COUNT(G) FROM r WHERE V > 3");
+  s.push_back(
+      "SELECT G, SUM(V) FROM r GROUP BY G ORDER BY SUM(V) DESC LIMIT 2");
+  s.push_back("SELECT G, COUNT(G), COUNT(K) FROM r WHERE V > 3 GROUP BY G");
+  s.push_back("SELECT MIN(G), MAX(V) FROM r WHERE G = g2");
   // Mutations: point, scatter, and VALUES form.
   s.push_back("UPDATE r SET V = 100 WHERE K = k5");
   s.push_back("UPDATE r SET G = g9 WHERE V = 100");
@@ -234,6 +252,204 @@ TEST_F(ShardTest, ScatterGatherMatchesSingleEngineReplyByReply) {
   OpenOracle();
   auto session = router->NewClientSession();
   CompareAgainstOracle(session.get(), oracle_.get(), OracleBattery());
+}
+
+TEST_F(ShardTest, ScatterGatherMatchesSingleEngineAtFourShards) {
+  auto router = OpenRouter(4);
+  ASSERT_NE(router, nullptr);
+  OpenOracle();
+  auto session = router->NewClientSession();
+  CompareAgainstOracle(session.get(), oracle_.get(), OracleBattery());
+}
+
+// The shapes whose reply depends on how rows lay out across shards
+// (DESIGN.md §13: an un-ORDERed LIMIT keeps a layout-dependent prefix,
+// ORDER BY ties resolve by shard index), so no single-engine oracle can
+// check them. Their exact text at 3 and 4 shards is pinned instead.
+TEST_F(ShardTest, LayoutDependentRepliesArePinned) {
+  const std::vector<std::string> shapes = {
+      "SELECT * FROM r LIMIT 3",
+      "SELECT G FROM r LIMIT 2",
+      "SELECT * FROM r ORDER BY G",
+      "SELECT * FROM r ORDER BY G DESC LIMIT 5",
+      "SELECT K, G FROM r ORDER BY G LIMIT 4",
+      "SELECT V FROM r ORDER BY G",
+  };
+  const std::vector<std::pair<size_t, std::vector<std::string>>> golden = {
+      {3,
+       {// SELECT * FROM r LIMIT 3
+        "+----+----+----+\n"
+        "| K  | V  | G  |\n"
+        "+----+----+----+\n"
+        "| k3 | 2  | g0 |\n"
+        "| k5 | 16 | g2 |\n"
+        "| k6 | 4  | g0 |\n"
+        "+----+----+----+\n"
+        "3 row(s)",
+        // SELECT G FROM r LIMIT 2
+        "+----+\n"
+        "| G  |\n"
+        "+----+\n"
+        "| g0 |\n"
+        "| g2 |\n"
+        "+----+\n"
+        "2 row(s)",
+        // SELECT * FROM r ORDER BY G
+        "+-----+----+----+\n"
+        "| K   | V  | G  |\n"
+        "+-----+----+----+\n"
+        "| k3  | 2  | g0 |\n"
+        "| k6  | 4  | g0 |\n"
+        "| k9  | 6  | g0 |\n"
+        "| k0  | 0  | g0 |\n"
+        "| k90 | 90 | g0 |\n"
+        "| k10 | 13 | g1 |\n"
+        "| k7  | 11 | g1 |\n"
+        "| k91 | 91 | g1 |\n"
+        "| k1  | 7  | g1 |\n"
+        "| k4  | 9  | g1 |\n"
+        "| k5  | 16 | g2 |\n"
+        "| k2  | 14 | g2 |\n"
+        "| k8  | 18 | g2 |\n"
+        "| k11 | 1  | g2 |\n"
+        "+-----+----+----+\n"
+        "14 row(s)",
+        // SELECT * FROM r ORDER BY G DESC LIMIT 5
+        "+-----+----+----+\n"
+        "| K   | V  | G  |\n"
+        "+-----+----+----+\n"
+        "| k5  | 16 | g2 |\n"
+        "| k2  | 14 | g2 |\n"
+        "| k8  | 18 | g2 |\n"
+        "| k11 | 1  | g2 |\n"
+        "| k10 | 13 | g1 |\n"
+        "+-----+----+----+\n"
+        "5 row(s)",
+        // SELECT K, G FROM r ORDER BY G LIMIT 4
+        "+----+----+\n"
+        "| K  | G  |\n"
+        "+----+----+\n"
+        "| k3 | g0 |\n"
+        "| k6 | g0 |\n"
+        "| k9 | g0 |\n"
+        "| k0 | g0 |\n"
+        "+----+----+\n"
+        "4 row(s)",
+        // SELECT V FROM r ORDER BY G
+        "+----+\n"
+        "| V  |\n"
+        "+----+\n"
+        "| 2  |\n"
+        "| 4  |\n"
+        "| 6  |\n"
+        "| 0  |\n"
+        "| 90 |\n"
+        "| 13 |\n"
+        "| 11 |\n"
+        "| 91 |\n"
+        "| 7  |\n"
+        "| 9  |\n"
+        "| 16 |\n"
+        "| 14 |\n"
+        "| 18 |\n"
+        "| 1  |\n"
+        "+----+\n"
+        "14 row(s)"}},
+      {4,
+       {// SELECT * FROM r LIMIT 3
+        "+-----+----+----+\n"
+        "| K   | V  | G  |\n"
+        "+-----+----+----+\n"
+        "| k11 | 1  | g2 |\n"
+        "| k2  | 14 | g2 |\n"
+        "| k6  | 4  | g0 |\n"
+        "+-----+----+----+\n"
+        "3 row(s)",
+        // SELECT G FROM r LIMIT 2
+        "+----+\n"
+        "| G  |\n"
+        "+----+\n"
+        "| g0 |\n"
+        "| g2 |\n"
+        "+----+\n"
+        "2 row(s)",
+        // SELECT * FROM r ORDER BY G
+        "+-----+----+----+\n"
+        "| K   | V  | G  |\n"
+        "+-----+----+----+\n"
+        "| k6  | 4  | g0 |\n"
+        "| k9  | 6  | g0 |\n"
+        "| k0  | 0  | g0 |\n"
+        "| k3  | 2  | g0 |\n"
+        "| k90 | 90 | g0 |\n"
+        "| k91 | 91 | g1 |\n"
+        "| k1  | 7  | g1 |\n"
+        "| k4  | 9  | g1 |\n"
+        "| k7  | 11 | g1 |\n"
+        "| k10 | 13 | g1 |\n"
+        "| k2  | 14 | g2 |\n"
+        "| k11 | 1  | g2 |\n"
+        "| k5  | 16 | g2 |\n"
+        "| k8  | 18 | g2 |\n"
+        "+-----+----+----+\n"
+        "14 row(s)",
+        // SELECT * FROM r ORDER BY G DESC LIMIT 5
+        "+-----+----+----+\n"
+        "| K   | V  | G  |\n"
+        "+-----+----+----+\n"
+        "| k2  | 14 | g2 |\n"
+        "| k11 | 1  | g2 |\n"
+        "| k5  | 16 | g2 |\n"
+        "| k8  | 18 | g2 |\n"
+        "| k91 | 91 | g1 |\n"
+        "+-----+----+----+\n"
+        "5 row(s)",
+        // SELECT K, G FROM r ORDER BY G LIMIT 4
+        "+----+----+\n"
+        "| K  | G  |\n"
+        "+----+----+\n"
+        "| k6 | g0 |\n"
+        "| k9 | g0 |\n"
+        "| k0 | g0 |\n"
+        "| k3 | g0 |\n"
+        "+----+----+\n"
+        "4 row(s)",
+        // SELECT V FROM r ORDER BY G
+        "+----+\n"
+        "| V  |\n"
+        "+----+\n"
+        "| 4  |\n"
+        "| 6  |\n"
+        "| 0  |\n"
+        "| 2  |\n"
+        "| 90 |\n"
+        "| 91 |\n"
+        "| 7  |\n"
+        "| 9  |\n"
+        "| 11 |\n"
+        "| 13 |\n"
+        "| 14 |\n"
+        "| 1  |\n"
+        "| 16 |\n"
+        "| 18 |\n"
+        "+----+\n"
+        "14 row(s)"}},
+  };
+  for (const auto& [shards, replies] : golden) {
+    SCOPED_TRACE(StrCat(shards, " shards"));
+    RemoveDirs();
+    auto router = OpenRouter(shards);
+    ASSERT_NE(router, nullptr);
+    auto session = router->NewClientSession();
+    for (const std::string& stmt : BatteryRelation()) {
+      ASSERT_TRUE(session->Execute(stmt).ok()) << stmt;
+    }
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      Result<std::string> got = session->Execute(shapes[i]);
+      ASSERT_TRUE(got.ok()) << shapes[i] << ": " << got.status();
+      EXPECT_EQ(*got, replies[i]) << shapes[i];
+    }
+  }
 }
 
 TEST_F(ShardTest, RowsActuallyDistributeAcrossShards) {
