@@ -635,8 +635,9 @@ Section BenchFactorizedAggregation(size_t groups, size_t fanout, int reps) {
       scan_count = DrainOp(&agg).at(0).at(0).AsInt();
     });
     double fact_sec = BestSeconds(reps, [&] {
-      auto source = std::make_unique<NfrSourceOp>("nfr_scan", &rel);
-      FactorizedAggregateOp agg("nfr_aggregate", std::move(source),
+      std::vector<std::unique_ptr<NfrSourceOp>> sources;
+      sources.push_back(std::make_unique<NfrSourceOp>("nfr_scan", &rel));
+      FactorizedAggregateOp agg("nfr_aggregate", std::move(sources),
                                 std::nullopt, count_star, count_schema);
       factorized_count = DrainOp(&agg).at(0).at(0).AsInt();
     });

@@ -1,9 +1,7 @@
 #include "engine/snapshot.h"
 
-#include <optional>
 #include <utility>
 
-#include "algebra/operators.h"
 #include "util/string_util.h"
 
 namespace nf2 {
@@ -101,31 +99,6 @@ Result<const NfrRelation*> DatabaseSnapshot::Relation(
     const std::string& name) const {
   NF2_ASSIGN_OR_RETURN(const RelationVersion* version, Find(name));
   return &version->relation->relation();
-}
-
-Result<FlatRelation> DatabaseSnapshot::Scan(const std::string& name) const {
-  NF2_ASSIGN_OR_RETURN(const NfrRelation* rel, Relation(name));
-  return rel->Expand();
-}
-
-Result<FlatRelation> DatabaseSnapshot::Query(const std::string& name,
-                                             const Predicate& pred) const {
-  NF2_ASSIGN_OR_RETURN(const RelationVersion* version, Find(name));
-  const CanonicalRelation& rel = *version->relation;
-  // Point-query fast path, id-space edition: resolve the literal
-  // against the frozen dictionary (a value the snapshot has never seen
-  // matches nothing), then walk the cloned index by ValueId. The live
-  // dictionary is never consulted — it is being interned into by
-  // concurrent writers.
-  std::optional<std::pair<size_t, Value>> eq = pred.AsSingleEq();
-  if (eq.has_value() && eq->first < rel.schema().degree()) {
-    std::optional<ValueId> id = dictionary_->Find(eq->second);
-    NfrRelation touched = id.has_value()
-                              ? rel.TuplesContainingId(eq->first, *id)
-                              : NfrRelation(rel.schema());
-    return SelectNfrExact(touched, pred).Expand();
-  }
-  return SelectNfrExact(rel.relation(), pred).Expand();
 }
 
 Result<RelationStats> DatabaseSnapshot::Stats(const std::string& name) const {

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/predicate.h"
 #include "catalog/catalog.h"
 #include "core/update.h"
 #include "engine/statistics.h"
@@ -122,14 +121,6 @@ class DatabaseSnapshot {
 
   /// The stored canonical NFR (valid for the snapshot's lifetime).
   Result<const NfrRelation*> Relation(const std::string& name) const;
-
-  /// R* of the stored relation.
-  Result<FlatRelation> Scan(const std::string& name) const;
-
-  /// sigma_pred(R*) with the same point-query fast path as
-  /// Database::Query, resolved against the frozen dictionary.
-  Result<FlatRelation> Query(const std::string& name,
-                             const Predicate& pred) const;
 
   /// Size/maintenance statistics as of the publish point.
   Result<RelationStats> Stats(const std::string& name) const;

@@ -385,6 +385,20 @@ void IndexRangeScanOp::CloseImpl() {
 
 // --- Row transforms -------------------------------------------------------
 
+UnionOp::UnionOp(std::string label, std::vector<std::unique_ptr<PlanOp>> inputs)
+    : PlanOp(std::move(label), inputs.front()->schema()) {
+  for (auto& input : inputs) AddChild(std::move(input));
+}
+
+bool UnionOp::NextImpl(FlatTuple* out) {
+  for (; current_ < children().size(); ++current_) {
+    if (child(current_)->Next(out)) return true;
+  }
+  return false;
+}
+
+void UnionOp::CloseImpl() { current_ = 0; }
+
 FilterOp::FilterOp(std::string label, std::unique_ptr<PlanOp> input,
                    Predicate pred)
     : PlanOp(std::move(label), input->schema()), pred_(std::move(pred)) {
@@ -556,29 +570,31 @@ void NfrSourceOp::CloseImpl() {
 }
 
 FactorizedAggregateOp::FactorizedAggregateOp(
-    std::string label, std::unique_ptr<NfrSourceOp> source,
+    std::string label, std::vector<std::unique_ptr<NfrSourceOp>> sources,
     std::optional<size_t> group_attr, std::vector<AggCompute> aggs,
     Schema output_schema)
     : PlanOp(std::move(label), std::move(output_schema)),
       group_(group_attr),
       aggs_(std::move(aggs)) {
-  source_ = static_cast<NfrSourceOp*>(AddChild(std::move(source)));
+  for (auto& source : sources) {
+    sources_.push_back(static_cast<NfrSourceOp*>(AddChild(std::move(source))));
+  }
 }
 
 void FactorizedAggregateOp::OpenImpl() {
-  const NfrRelation& rel = *source_->nfr();
   std::map<Value, std::vector<AggState>> groups;
   std::vector<AggState> global(aggs_.size());
-  for (size_t i = 0; i < rel.size(); ++i) {
-    const NfrTuple& t = rel.tuple(i);
-    if (group_.has_value()) {
-      for (const Value& gv : t.at(*group_).values()) {
-        auto [it, inserted] = groups.try_emplace(gv);
-        if (inserted) it->second.resize(aggs_.size());
-        FoldFactorized(t, *group_, &gv, aggs_, &it->second);
+  for (const NfrSourceOp* source : sources_) {
+    for (const NfrTuple& t : source->nfr()->tuples()) {
+      if (group_.has_value()) {
+        for (const Value& gv : t.at(*group_).values()) {
+          auto [it, inserted] = groups.try_emplace(gv);
+          if (inserted) it->second.resize(aggs_.size());
+          FoldFactorized(t, *group_, &gv, aggs_, &it->second);
+        }
+      } else {
+        FoldFactorized(t, kNoSkip, nullptr, aggs_, &global);
       }
-    } else {
-      FoldFactorized(t, kNoSkip, nullptr, aggs_, &global);
     }
   }
   if (group_.has_value()) {

@@ -194,6 +194,21 @@ class IndexRangeScanOp : public NfrExpandOpBase {
   NfrRelation candidates_;
 };
 
+/// Concatenates its children's rows in child order. The planner puts
+/// one copy of an access path per shard under it, so every operator
+/// above runs once over all shards' rows.
+class UnionOp : public PlanOp {
+ public:
+  UnionOp(std::string label, std::vector<std::unique_ptr<PlanOp>> inputs);
+
+ protected:
+  bool NextImpl(FlatTuple* out) override;
+  void CloseImpl() override;
+
+ private:
+  size_t current_ = 0;  // The child being drained.
+};
+
 /// Drops rows failing `pred`.
 class FilterOp : public PlanOp {
  public:
@@ -320,11 +335,12 @@ class NfrSourceOp : public PlanOp {
 /// Factorized aggregation straight over the NFR (DESIGN.md §10): since
 /// expansions of distinct tuples are pairwise disjoint, COUNT(*) is
 /// Σ_t Π_j |D_j,t| and SUM(b) is Σ_t (Σ_{v∈D_b,t} v)·Π_{j≠b} |D_j,t| —
-/// no simple tuple is ever materialized. Child 0 must be an
-/// NfrSourceOp.
+/// no simple tuple is ever materialized. It folds the tuples of every
+/// source in order: one per shard, whose expansions are disjoint too.
 class FactorizedAggregateOp : public PlanOp {
  public:
-  FactorizedAggregateOp(std::string label, std::unique_ptr<NfrSourceOp> source,
+  FactorizedAggregateOp(std::string label,
+                        std::vector<std::unique_ptr<NfrSourceOp>> sources,
                         std::optional<size_t> group_attr,
                         std::vector<AggCompute> aggs, Schema output_schema);
 
@@ -334,7 +350,7 @@ class FactorizedAggregateOp : public PlanOp {
   void CloseImpl() override;
 
  private:
-  NfrSourceOp* source_;  // == children()[0].
+  std::vector<NfrSourceOp*> sources_;  // == children().
   std::optional<size_t> group_;
   std::vector<AggCompute> aggs_;
   std::vector<FlatTuple> results_;

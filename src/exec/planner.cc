@@ -129,6 +129,13 @@ Schema AggregateOutputSchema(const Schema& input,
   return Schema(std::move(attrs));
 }
 
+/// The per-shard copies of one access path, concatenated in shard
+/// order; a single leaf stands alone.
+std::unique_ptr<PlanOp> UnionOf(std::vector<std::unique_ptr<PlanOp>> leaves) {
+  if (leaves.size() == 1) return std::move(leaves.front());
+  return std::make_unique<UnionOp>("union", std::move(leaves));
+}
+
 }  // namespace
 
 Result<Predicate> ResolveCondition(const ConditionNode& node,
@@ -180,9 +187,20 @@ Result<Predicate> ResolveCondition(const ConditionNode& node,
 
 Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
                               const CatalogView& catalog) {
-  NF2_ASSIGN_OR_RETURN(BoundRelation base, catalog.Bind(stmt.name));
-  const Schema& schema = base.info->schema;
-  const ValueDictionary* frozen = catalog.frozen_dictionary();
+  const CatalogView* const one[] = {&catalog};
+  return PlanSelect(stmt, one);
+}
+
+Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
+                              std::span<const CatalogView* const> shards) {
+  std::vector<BoundRelation> bases;
+  bases.reserve(shards.size());
+  for (const CatalogView* shard : shards) {
+    NF2_ASSIGN_OR_RETURN(BoundRelation base, shard->Bind(stmt.name));
+    bases.push_back(base);
+  }
+  // Every shard holds the relation under the same catalog entry.
+  const Schema& schema = bases.front().info->schema;
 
   // Split the WHERE clause (single-relation case): top-level AND-ed
   // `attr = value` conjuncts become index restrictions, the rest a
@@ -229,31 +247,39 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
 
   // Base access path + joins + filter, as a row pipeline.
   auto make_row_source = [&]() -> Result<std::unique_ptr<PlanOp>> {
-    std::unique_ptr<PlanOp> op;
-    if (!eqs.empty()) {
-      op = std::make_unique<IndexScanOp>(
-          StrCat("index_scan(", stmt.name, ": ", EqListLabel(schema, eqs),
-                 ")"),
-          base.relation, frozen, eqs);
-    } else if (range.has_value()) {
-      op = std::make_unique<IndexRangeScanOp>(
-          StrCat("index_range_scan(", stmt.name, ": ",
-                 RangeLabel(schema, *range), ")"),
-          base.relation, frozen, *range);
-    } else {
-      op = std::make_unique<SeqScanOp>(StrCat("scan(", stmt.name, ")"),
-                                       &base.relation->relation());
+    std::vector<std::unique_ptr<PlanOp>> leaves;
+    for (size_t i = 0; i < shards.size(); ++i) {
+      const ValueDictionary* frozen = shards[i]->frozen_dictionary();
+      if (!eqs.empty()) {
+        leaves.push_back(std::make_unique<IndexScanOp>(
+            StrCat("index_scan(", stmt.name, ": ", EqListLabel(schema, eqs),
+                   ")"),
+            bases[i].relation, frozen, eqs));
+      } else if (range.has_value()) {
+        leaves.push_back(std::make_unique<IndexRangeScanOp>(
+            StrCat("index_range_scan(", stmt.name, ": ",
+                   RangeLabel(schema, *range), ")"),
+            bases[i].relation, frozen, *range));
+      } else {
+        leaves.push_back(std::make_unique<SeqScanOp>(
+            StrCat("scan(", stmt.name, ")"), &bases[i].relation->relation()));
+      }
     }
+    std::unique_ptr<PlanOp> op = UnionOf(std::move(leaves));
     if (residual.has_value()) {
       op = std::make_unique<FilterOp>(StrCat("filter(", stmt.name, ")"),
                                       std::move(op), *residual);
     }
     for (const std::string& join_name : stmt.joins) {
-      NF2_ASSIGN_OR_RETURN(BoundRelation right, catalog.Bind(join_name));
-      auto right_scan = std::make_unique<SeqScanOp>(
-          StrCat("scan(", join_name, ")"), &right.relation->relation());
+      std::vector<std::unique_ptr<PlanOp>> right_scans;
+      for (const CatalogView* shard : shards) {
+        NF2_ASSIGN_OR_RETURN(BoundRelation right, shard->Bind(join_name));
+        right_scans.push_back(std::make_unique<SeqScanOp>(
+            StrCat("scan(", join_name, ")"), &right.relation->relation()));
+      }
       op = std::make_unique<JoinOp>(StrCat("join(", join_name, ")"),
-                                    std::move(op), std::move(right_scan));
+                                    std::move(op),
+                                    UnionOf(std::move(right_scans)));
     }
     if (stmt.where != nullptr && !stmt.joins.empty()) {
       NF2_ASSIGN_OR_RETURN(Predicate pred,
@@ -278,20 +304,23 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
       }
       NF2_ASSIGN_OR_RETURN(std::vector<AggCompute> aggs,
                            ResolveAggregates(stmt.aggregates, schema));
-      std::unique_ptr<NfrSourceOp> source;
-      if (!eqs.empty()) {
-        source = std::make_unique<NfrSourceOp>(
-            StrCat("nfr_index_scan(", stmt.name, ": ",
-                   EqListLabel(schema, eqs), ")"),
-            base.relation, frozen, eqs);
-      } else {
-        source = std::make_unique<NfrSourceOp>(
-            StrCat("nfr_scan(", stmt.name, ")"), &base.relation->relation());
+      std::vector<std::unique_ptr<NfrSourceOp>> sources;
+      for (size_t i = 0; i < shards.size(); ++i) {
+        if (!eqs.empty()) {
+          sources.push_back(std::make_unique<NfrSourceOp>(
+              StrCat("nfr_index_scan(", stmt.name, ": ",
+                     EqListLabel(schema, eqs), ")"),
+              bases[i].relation, shards[i]->frozen_dictionary(), eqs));
+        } else {
+          sources.push_back(std::make_unique<NfrSourceOp>(
+              StrCat("nfr_scan(", stmt.name, ")"),
+              &bases[i].relation->relation()));
+        }
       }
       Schema out_schema = AggregateOutputSchema(schema, group, aggs);
       op = std::make_unique<FactorizedAggregateOp>(
           StrCat("nfr_aggregate(", AggListLabel(stmt), ")"),
-          std::move(source), group, std::move(aggs), std::move(out_schema));
+          std::move(sources), group, std::move(aggs), std::move(out_schema));
       plan.shape = group.has_value() ? StatementResult::Shape::kGrouped
                                      : StatementResult::Shape::kAggregate;
     } else {
@@ -363,6 +392,18 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
   }
   plan.root = std::move(op);
   return plan;
+}
+
+StatementResult DrainPlan(const SelectPlan& plan) {
+  plan.root->Open();
+  std::vector<FlatTuple> rows;
+  FlatTuple row;
+  while (plan.root->Next(&row)) {
+    rows.push_back(std::move(row));
+  }
+  plan.root->Close();
+  return StatementResult::Rows(plan.shape, plan.root->schema(),
+                               std::move(rows));
 }
 
 std::optional<Value> EqualityConjunct(const ConditionNode* where,

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "catalog/catalog.h"
@@ -50,6 +51,21 @@ struct SelectPlan {
 ///  - joins hash-build their right side; ORDER BY/LIMIT cap the tree.
 Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
                               const CatalogView& catalog);
+
+/// The same plan over several catalogs with identical schemas, the
+/// shards of one hash-partitioned database (DESIGN.md §13). Each access
+/// path (every scan leaf, and each factorized aggregate's NFR source)
+/// is built once per shard, and a UnionOp concatenates the leaves in
+/// shard order. Everything above the leaves is built once. Hash
+/// partitioning keeps the shards' expansions disjoint, so the plan
+/// answers exactly as one engine holding their union. With one catalog
+/// this is the plan above, with no union node.
+Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
+                              std::span<const CatalogView* const> shards);
+
+/// Opens, drains and closes `plan` into its rows: the one execution
+/// loop of every SELECT, on one engine and across shards.
+StatementResult DrainPlan(const SelectPlan& plan);
 
 /// Resolves a parsed WHERE tree against `schema` into a Predicate.
 Result<Predicate> ResolveCondition(const ConditionNode& node,

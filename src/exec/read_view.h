@@ -15,10 +15,11 @@ namespace nf2 {
 
 /// Where a statement's reads come from: a pinned snapshot when one is
 /// given (frozen dictionary, zero engine locks), the live database
-/// otherwise. The executor, the shard router's scatter-gather merge and
-/// its recomposition all read through one of these. A live view is only
-/// race-free for the session that owns the open transaction, since
-/// every other writer bounces while it is open (DESIGN.md §9).
+/// otherwise. The executor, the shard router's scattered SELECT plans
+/// (one view per shard) and its recomposition all read through one of
+/// these. A live view is only race-free for the session that owns the
+/// open transaction, since every other writer bounces while it is open
+/// (DESIGN.md §9).
 ///
 /// The view holds the snapshot, so every pointer it hands out stays
 /// valid for the view's lifetime.

@@ -401,18 +401,11 @@ Result<StatementResult> Executor::ExecSelect(const SelectStatement& stmt) {
   TraceSpan span(trace_, OpLabel("select", stmt.name));
   NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt, view_));
   if (trace_ != nullptr) plan.root->EnableTiming();
-  plan.root->Open();
-  std::vector<FlatTuple> rows;
-  FlatTuple row;
-  while (plan.root->Next(&row)) {
-    rows.push_back(std::move(row));
-  }
-  plan.root->Close();
+  StatementResult result = DrainPlan(plan);
   if (span.node() != nullptr) {
     AttachPlan(*plan.root, span.node(), /*with_stats=*/true);
   }
-  return StatementResult::Rows(plan.shape, plan.root->schema(),
-                               std::move(rows));
+  return result;
 }
 
 Result<StatementResult> Executor::ExecCheckpoint() {

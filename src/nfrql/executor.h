@@ -25,6 +25,9 @@ namespace nf2 {
 /// read-only statement from immutable state with zero engine locks.
 /// Write/DDL/transaction statements always go to the live database
 /// regardless of binding; the server never binds a snapshot for them.
+///
+/// A SELECT is PlanSelect over the view, drained by DrainPlan: the same
+/// loop the shard router runs over its one-view-per-shard plans.
 class Executor {
  public:
   explicit Executor(Database* db) : db_(db), view_(db) {}

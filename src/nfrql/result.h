@@ -14,9 +14,9 @@ namespace nf2 {
 
 /// What one NFRQL statement produced, as values rather than text
 /// (DESIGN.md §8): a message, an affected-row count, or rows. The
-/// executor returns one per statement, the shard router sums counts and
-/// merges rows across shards, and Render writes the reply once, at the
-/// protocol edge.
+/// executor returns one per statement, the shard router sums counts
+/// across shards, and Render writes the reply once, at the protocol
+/// edge.
 struct StatementResult {
   enum class Kind { kMessage, kCount, kRows };
   /// The mutation a kCount result counts.

@@ -227,8 +227,8 @@ class Session : public ClientSession {
   /// and the cache — the shard router's entry point for statements it
   /// has rewritten or split per shard. Dispatches to the snapshot-read
   /// or exclusive-write path exactly like Execute, but returns the
-  /// result unrendered, so the router can sum counts and merge rows as
-  /// values. `stmt` must outlive the call.
+  /// result unrendered, so the router can sum counts as values. `stmt`
+  /// must outlive the call.
   Result<StatementResult> ExecuteParsed(const Statement& stmt);
 
   /// Rolls back this session's open transaction, if it holds one.

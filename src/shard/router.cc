@@ -19,14 +19,6 @@ namespace shard {
 
 namespace {
 
-/// Relations partition on their own keys, so the rows a join pairs up
-/// may live on different shards.
-Status JoinUnsupported() {
-  return Status::Unimplemented(
-      "JOIN is not supported with more than one shard (relations "
-      "partition on their own keys, so join rows are not co-located)");
-}
-
 /// Folds one shard's affected-row count into `total`; the first shard's
 /// result supplies the verb and relation.
 void AddCount(StatementResult shard_result,
@@ -36,6 +28,15 @@ void AddCount(StatementResult shard_result,
   } else {
     *total = std::move(shard_result);
   }
+}
+
+/// Rows an executed plan's leaves handed up (NFR tuples under a
+/// factorized aggregate).
+uint64_t LeafRows(const PlanOp& op) {
+  if (op.children().empty()) return op.rows_out();
+  uint64_t rows = 0;
+  for (const auto& child : op.children()) rows += LeafRows(*child);
+  return rows;
 }
 
 /// Injects a shard="<i>" label into every sample line of a Prometheus
@@ -147,7 +148,9 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(const std::string& dir,
       "nf2_router_scatter_total", "Statements scattered to all shards");
   router->metric_merge_rows_ =
       reg->GetCounter("nf2_router_merge_rows_total",
-                      "Per-shard rows fed into scatter-gather merges");
+                      "Rows the per-shard access paths of scattered "
+                      "SELECTs handed to the router's plan (NFR tuples "
+                      "under a factorized aggregate)");
   router->metric_ddl_fanout_ = reg->GetCounter(
       "nf2_router_ddl_fanout_total", "DDL statements fanned out");
   router->metric_ddl_rollbacks_ =
@@ -374,22 +377,26 @@ Result<StatementResult> RouterSession::RouteUpdate(const UpdateStatement& s,
 
 Result<StatementResult> RouterSession::RouteSelect(const SelectStatement& s,
                                                    const Statement& whole) {
-  if (!s.joins.empty()) return JoinUnsupported();
   std::optional<PartitionInfo> part = Partition(s.name);
   if (!part.has_value()) return sessions_[0]->ExecuteParsed(whole);
   std::optional<Value> eq = EqualityConjunct(s.where.get(), part->attr_name);
-  if (eq.has_value()) {
+  // A JOIN always scatters: the joined relation's rows live on every
+  // shard.
+  if (eq.has_value() && s.joins.empty()) {
     // Every matching row lives on the shard the pinned value hashes to
     // — aggregates included (empty elsewhere).
     router_->metric_point_->Increment();
     return sessions_[ShardOf(*eq, sessions_.size())]->ExecuteParsed(whole);
   }
   router_->metric_scatter_->Increment();
-  uint64_t merged = 0;
-  Result<StatementResult> res =
-      ScatterSelect(s, ReadViews(), part->attr_name, &merged);
-  router_->metric_merge_rows_->Increment(merged);
-  return res;
+  const std::vector<ReadView> views = ReadViews();
+  std::vector<const CatalogView*> shards;
+  shards.reserve(views.size());
+  for (const ReadView& view : views) shards.push_back(&view);
+  NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(s, shards));
+  StatementResult result = DrainPlan(plan);
+  router_->metric_merge_rows_->Increment(LeafRows(*plan.root));
+  return result;
 }
 
 Result<StatementResult> RouterSession::RouteCreate(const CreateStatement& s,
@@ -458,11 +465,9 @@ Result<StatementResult> RouterSession::RouteExplain(const ExplainStatement& s,
   NF2_CHECK(s.inner != nullptr);
   const Statement& inner = s.inner->stmt;
   if (const auto* sel = std::get_if<SelectStatement>(&inner)) {
-    // A plan the SELECT could not run is no answer: EXPLAIN reports the
-    // SELECT's own status.
-    if (!sel->joins.empty()) return JoinUnsupported();
+    // Routed as RouteSelect routes it: a JOIN always scatters.
     std::optional<PartitionInfo> part = Partition(sel->name);
-    if (part.has_value()) {
+    if (part.has_value() && sel->joins.empty()) {
       std::optional<Value> eq =
           EqualityConjunct(sel->where.get(), part->attr_name);
       if (eq.has_value()) {

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "exec/read_view.h"
 #include "server/session.h"
-#include "shard/merge.h"
 #include "shard/shard_map.h"
 #include "util/result.h"
 
@@ -27,8 +27,10 @@ class RouterSession;
 /// classifies every statement, routes point operations (the WHERE
 /// pins the partition attribute, or INSERT/DELETE VALUES rows hash
 /// individually) to exactly one shard, and scatters everything else.
-/// The shards' typed results merge as values — counts add, rows merge —
-/// into the result a single engine would return, rendered once.
+/// Scattered mutations add up the shards' counts; a scattered SELECT is
+/// one plan over every shard's access paths (PlanSelect over
+/// ReadViews()), so it answers as a single engine would. Results
+/// render once.
 ///
 /// With shards == 1 every call forwards verbatim to the one underlying
 /// SessionManager — byte-identical to the unsharded server.
@@ -102,7 +104,7 @@ class ShardRouter : public server::SessionProvider {
 
 /// One client's fan-out session: a per-shard engine Session for every
 /// shard (transaction ownership and gating per shard come from those),
-/// plus the router's classification and merge logic. Not internally
+/// plus the router's classification logic. Not internally
 /// synchronized — one statement (or batch) at a time, like Session.
 class RouterSession : public server::ClientSession {
  public:
@@ -146,6 +148,9 @@ class RouterSession : public server::ClientSession {
                                       const Statement& whole);
   Result<StatementResult> RouteUpdate(const UpdateStatement& s,
                                       const Statement& whole);
+  /// Point-routes a SELECT whose WHERE pins the partition attribute
+  /// (never a JOIN: the joined relation's rows live on every shard);
+  /// otherwise plans it once over ReadViews() and drains it here.
   Result<StatementResult> RouteSelect(const SelectStatement& s,
                                       const Statement& whole);
   Result<StatementResult> RouteCreate(const CreateStatement& s,

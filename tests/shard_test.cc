@@ -1,11 +1,11 @@
 // Tests for the sharded engine subsystem (src/shard/, DESIGN.md §13):
 // shard-map unit tests, scatter-gather routing checked reply-by-reply
-// against a single-engine oracle fed the same statement stream, goldens
-// of the replies that depend on the shard layout, merge edge cases
-// (mid-batch errors, DDL rollback), N=1 byte-interop, the
-// EXPLAIN goldens for index_range_scan and scatter plans, and the
-// 8-session / 4-shard torture test whose final state must be
-// bit-identical to a single-engine replay.
+// against a single-engine oracle fed the same statement stream (JOINs
+// included), goldens of the replies that depend on the shard layout,
+// batch and DDL edge cases (mid-batch errors, DDL rollback), N=1
+// byte-interop, the EXPLAIN goldens for index_range_scan and scatter
+// plans, and the 8-session / 4-shard torture test whose final state
+// must be bit-identical to a single-engine replay.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "engine/database.h"
 #include "nfrql/parser.h"
 #include "server/session.h"
-#include "shard/merge.h"
 #include "shard/router.h"
 #include "shard/shard_map.h"
 #include "storage/serde.h"
@@ -154,7 +153,7 @@ std::vector<std::string> OracleBattery() {
   s.push_back("SELECT * FROM r WHERE K = k3");
   s.push_back("SELECT COUNT(*) FROM r WHERE K = k3");
   s.push_back("EXPLAIN SELECT * FROM r WHERE K = k3");
-  // Scattered reads across every merge path.
+  // Scattered reads of every result shape.
   s.push_back("SELECT * FROM r");
   s.push_back("SELECT G FROM r");
   s.push_back("SELECT * FROM r ORDER BY V");
@@ -490,7 +489,7 @@ TEST_F(ShardTest, UpdateOfPartitionAttributeIsRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Merge edge cases
+// Batch and DDL edge cases
 // ---------------------------------------------------------------------
 
 TEST_F(ShardTest, MidBatchErrorLeavesOtherRepliesIntact) {
@@ -627,28 +626,46 @@ TEST_F(ShardTest, ExplainAnnotatesScatterAndForwardsPointPlans) {
   EXPECT_EQ(profile_scatter.status().code(), StatusCode::kUnimplemented);
 }
 
-// EXPLAIN describes the plan its statement would run. A JOIN cannot run
-// on more than one shard, so EXPLAIN and PROFILE of one answer with the
-// SELECT's own status rather than with a plan.
-TEST_F(ShardTest, ExplainOfAJoinAnswersWithTheSelectsStatus) {
+// Relations partition on their own keys, so the rows a JOIN pairs up
+// live on different shards. A scattered JOIN still answers exactly as
+// one engine: its plan joins the union of every shard's rows.
+TEST_F(ShardTest, JoinMatchesSingleEngineAtFourShards) {
   auto router = OpenRouter(4);
   ASSERT_NE(router, nullptr);
+  OpenOracle();
   auto session = router->NewClientSession();
-  ASSERT_TRUE(session
-                  ->Execute("CREATE RELATION j (K STRING, V INT) FD K -> V")
-                  .ok());
-  ASSERT_TRUE(session
-                  ->Execute("CREATE RELATION k2 (V INT, W STRING) FD V -> W")
-                  .ok());
-  auto select = session->Execute("SELECT * FROM j JOIN k2");
-  ASSERT_FALSE(select.ok());
-  EXPECT_EQ(select.status().code(), StatusCode::kUnimplemented);
-  for (const char* prefix : {"EXPLAIN ", "PROFILE "}) {
-    auto explained =
-        session->Execute(StrCat(prefix, "SELECT * FROM j JOIN k2"));
-    ASSERT_FALSE(explained.ok()) << prefix << "-> " << *explained;
-    EXPECT_EQ(explained.status().ToString(), select.status().ToString());
+  std::vector<std::string> battery = {
+      "CREATE RELATION j (K STRING, V INT) FD K -> V",
+      "CREATE RELATION k2 (V INT, W STRING) FD V -> W",
+  };
+  for (int i = 0; i < 12; ++i) {
+    battery.push_back(StrCat("INSERT INTO j VALUES (k", i, ", ", i % 6, ")"));
   }
+  for (int v = 0; v < 5; ++v) {
+    battery.push_back(StrCat("INSERT INTO k2 VALUES (", v, ", w", v % 3, ")"));
+  }
+  battery.push_back("SELECT * FROM j JOIN k2");
+  // Pins j's partition attribute, yet k2's matching row may live on
+  // any shard: a JOIN never point-routes.
+  battery.push_back("SELECT * FROM j JOIN k2 WHERE K = k3");
+  battery.push_back("SELECT * FROM j JOIN k2 WHERE W = w2");
+  battery.push_back("SELECT W, COUNT(*) FROM j JOIN k2 GROUP BY W");
+  battery.push_back("SELECT COUNT(*), MAX(W) FROM j JOIN k2");
+  battery.push_back("SELECT * FROM j JOIN k2 ORDER BY K DESC LIMIT 3");
+  CompareAgainstOracle(session.get(), oracle_.get(), battery);
+
+  // EXPLAIN of a JOIN is shard 0's plan plus the scatter note, like any
+  // scattered SELECT; PROFILE of one is still unsupported.
+  auto explained =
+      session->Execute("EXPLAIN SELECT * FROM j JOIN k2 WHERE K = k3");
+  ASSERT_TRUE(explained.ok()) << explained.status();
+  EXPECT_NE(explained->find("join(k2)"), std::string::npos) << *explained;
+  EXPECT_NE(explained->find("scatter: 4 shard(s), merged at router"),
+            std::string::npos)
+      << *explained;
+  auto profiled = session->Execute("PROFILE SELECT * FROM j JOIN k2");
+  ASSERT_FALSE(profiled.ok());
+  EXPECT_EQ(profiled.status().code(), StatusCode::kUnimplemented);
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@ LOG="$DB_DIR/nf2d.log"
 cleanup() {
   [[ -n "${SERVER_PID:-}" ]] && kill -9 "$SERVER_PID" 2>/dev/null || true
   [[ -n "${FOLLOWER_PID:-}" ]] && kill -9 "$FOLLOWER_PID" 2>/dev/null || true
+  [[ -n "${SHARDED_PID:-}" ]] && kill -9 "$SHARDED_PID" 2>/dev/null || true
   rm -rf "$DB_DIR"
 }
 trap cleanup EXIT
@@ -196,5 +197,70 @@ COUNT=$("$CLIENT" --port "$PORT" -e "SELECT COUNT(*) FROM takes")
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 SERVER_PID=""
+
+# --- Sharded leg -------------------------------------------------------
+# A 4-shard daemon on a fresh datadir: scattered reads and a JOIN (whose
+# rows live on different shards) answer with the single engine's exact
+# text.
+"$NF2D" "$DB_DIR/sharded" --shards 4 --port 0 --workers 2 \
+  >"$LOG.sharded" 2>&1 &
+SHARDED_PID=$!
+SPORT=""
+for _ in $(seq 1 50); do
+  SPORT=$(sed -n 's/^listening on [0-9.]*:\([0-9]*\)$/\1/p' \
+    "$LOG.sharded" | head -1)
+  [[ -n "$SPORT" ]] && break
+  kill -0 "$SHARDED_PID" 2>/dev/null || {
+    cat "$LOG.sharded"; echo "sharded nf2d died"; exit 1; }
+  sleep 0.2
+done
+[[ -n "$SPORT" ]] || {
+  cat "$LOG.sharded"; echo "sharded nf2d never listened"; exit 1; }
+echo "sharded nf2d up on port $SPORT (pid $SHARDED_PID)"
+
+"$CLIENT" --port "$SPORT" \
+  -e "CREATE RELATION emp (Name STRING, Dept STRING, Age INT) FD Name -> Dept, Age" \
+  -e "CREATE RELATION dept (Dept STRING, Floor INT) FD Dept -> Floor" \
+  -e "INSERT INTO emp VALUES (ada, eng, 36), (bob, ops, 41), (cy, eng, 29)" \
+  -e "INSERT INTO emp VALUES (dee, ops, 33), (eve, law, 50)" \
+  -e "INSERT INTO dept VALUES (eng, 3), (ops, 1), (law, 2)" >/dev/null
+
+# expect_reply <statement> <exact reply>
+expect_reply() {
+  local got
+  got=$("$CLIENT" --port "$SPORT" -e "$1") || {
+    echo "sharded '$1' failed: $got"; exit 1; }
+  [[ "$got" == "$2" ]] || {
+    echo "sharded '$1' replied:"; echo "$got"; echo "want:"; echo "$2"
+    exit 1; }
+}
+expect_reply "SELECT COUNT(*) FROM emp" "5"
+expect_reply "SELECT Dept, COUNT(*), SUM(Age) FROM emp GROUP BY Dept" \
+  $'eng\t2\t65\nlaw\t1\t50\nops\t2\t74\n3 group(s)'
+expect_reply "SELECT Name, Age FROM emp ORDER BY Age DESC LIMIT 2" \
+"+------+-----+
+| Name | Age |
++------+-----+
+| eve  | 50  |
+| bob  | 41  |
++------+-----+
+2 row(s)"
+expect_reply "SELECT Name, Floor FROM emp JOIN dept WHERE Floor > 1" \
+"+------+-------+
+| Name | Floor |
++------+-------+
+| ada  | 3     |
+| cy   | 3     |
+| eve  | 2     |
++------+-------+
+3 row(s)"
+
+kill -TERM "$SHARDED_PID"
+EXIT_CODE=0
+wait "$SHARDED_PID" || EXIT_CODE=$?
+[[ "$EXIT_CODE" -eq 0 ]] || {
+  cat "$LOG.sharded"; echo "sharded nf2d exited $EXIT_CODE"; exit 1; }
+SHARDED_PID=""
+echo "sharded leg OK"
 
 echo "server smoke OK"
