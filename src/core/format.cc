@@ -81,7 +81,7 @@ std::string RenderFlat(const std::string& title, const Schema& schema,
 }  // namespace
 
 std::string RenderTable(const NfrRelation& rel, const std::string& title) {
-  std::vector<NfrTuple> sorted = rel.tuples();
+  std::vector<NfrTuple> sorted(rel.tuples().begin(), rel.tuples().end());
   std::sort(sorted.begin(), sorted.end());
   std::vector<std::vector<std::string>> rows;
   rows.reserve(sorted.size());

@@ -57,10 +57,10 @@ void NfrIndex::AddEncoded(size_t tuple_id, const EncodedTuple& t) {
   NF2_CHECK(interned()) << "id-keyed mutation on a Value-keyed index";
   NF2_CHECK(t.size() == degree_);
   for (size_t attr = 0; attr < degree_; ++attr) {
-    std::vector<std::vector<size_t>>& slots = postings_by_id_[attr];
+    CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
     for (ValueId v : t[attr].ids()) {
       if (v >= slots.size()) slots.resize(v + 1);
-      std::vector<size_t>& ids = slots[v];
+      std::vector<size_t>& ids = slots.Mutable(v);
       auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
       NF2_DCHECK(it == ids.end() || *it != tuple_id);
       ids.insert(it, tuple_id);
@@ -72,10 +72,10 @@ void NfrIndex::RemoveEncoded(size_t tuple_id, const EncodedTuple& t) {
   NF2_CHECK(interned()) << "id-keyed mutation on a Value-keyed index";
   NF2_CHECK(t.size() == degree_);
   for (size_t attr = 0; attr < degree_; ++attr) {
-    std::vector<std::vector<size_t>>& slots = postings_by_id_[attr];
+    CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
     for (ValueId v : t[attr].ids()) {
       NF2_CHECK(v < slots.size()) << "index missing value id " << v;
-      std::vector<size_t>& ids = slots[v];
+      std::vector<size_t>& ids = slots.Mutable(v);
       auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
       NF2_CHECK(it != ids.end() && *it == tuple_id)
           << "index missing id for value id " << v;
@@ -89,9 +89,7 @@ void NfrIndex::RemoveEncoded(size_t tuple_id, const EncodedTuple& t) {
     // Reclaim trailing empty slots. Interior empties must stay (their
     // ValueIds may return), but the tail can always shrink — the
     // value-keyed path erases empty map entries for the same reason.
-    while (!slots.empty() && slots.back().empty()) {
-      slots.pop_back();
-    }
+    slots.TrimDefaults();
   }
 }
 
@@ -118,7 +116,7 @@ const std::vector<size_t>* NfrIndex::PostingsById(size_t attr,
                                                   ValueId id) const {
   NF2_CHECK(interned());
   NF2_CHECK(attr < degree_);
-  const std::vector<std::vector<size_t>>& slots = postings_by_id_[attr];
+  const CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
   if (id >= slots.size() || slots[id].empty()) return nullptr;
   return &slots[id];
 }
@@ -131,8 +129,8 @@ std::vector<size_t> IntersectSorted(const std::vector<size_t>& a,
   return out;
 }
 
-std::vector<size_t> NfrIndex::ContainingInRange(size_t attr,
-                                                const RangeBound& bound) const {
+std::vector<size_t> NfrIndex::ContainingInRange(
+    size_t attr, const RangeBound& bound, const DictionaryView* values) const {
   NF2_CHECK(attr < degree_);
   std::vector<size_t> out;
   if (!interned()) {
@@ -154,34 +152,15 @@ std::vector<size_t> NfrIndex::ContainingInRange(size_t attr,
       out.insert(out.end(), it->second.begin(), it->second.end());
     }
   } else {
-    // Id-keyed slots carry no value order; bound-scan the dictionary's
-    // value order instead and union the in-range slots.
-    std::vector<ValueId> order = dict_->IdsInValueOrder();
-    auto value_less = [this](ValueId id, const Value& v) {
-      return dict_->value(id) < v;
-    };
-    auto less_value = [this](const Value& v, ValueId id) {
-      return v < dict_->value(id);
-    };
-    auto it = order.begin();
-    auto end = order.end();
-    if (bound.lower.has_value()) {
-      it = bound.lower_inclusive
-               ? std::lower_bound(order.begin(), order.end(), *bound.lower,
-                                  value_less)
-               : std::upper_bound(order.begin(), order.end(), *bound.lower,
-                                  less_value);
-    }
-    if (bound.upper.has_value()) {
-      end = bound.upper_inclusive
-                ? std::upper_bound(it, order.end(), *bound.upper, less_value)
-                : std::lower_bound(it, order.end(), *bound.upper, value_less);
-    }
-    for (; it != end; ++it) {
-      const std::vector<size_t>* ids = PostingsById(attr, *it);
-      if (ids != nullptr) {
-        out.insert(out.end(), ids->begin(), ids->end());
-      }
+    // Id-keyed slots carry no value order. Every value is compared once,
+    // in id order, which a rank table could not beat: handing out the
+    // ids in value order is itself a pass over all of them.
+    if (values == nullptr) values = dict_.get();
+    const CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
+    const size_t ids = std::min<size_t>(slots.size(), values->size());
+    for (ValueId id = 0; id < ids; ++id) {
+      if (slots[id].empty() || !bound.Admits(values->value(id))) continue;
+      out.insert(out.end(), slots[id].begin(), slots[id].end());
     }
   }
   std::sort(out.begin(), out.end());

@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/cow_vector.h"
 #include "core/tuple.h"
 #include "core/value.h"
 #include "core/value_dictionary.h"
@@ -92,10 +93,13 @@ class NfrIndex {
   /// Ids of tuples whose `attr` component contains at least one value
   /// inside `bound` — the union of the postings whose keys fall in the
   /// interval. Value-keyed mode bound-scans the sorted postings map;
-  /// interned mode bound-scans the dictionary's value order and unions
-  /// the id-keyed slots inside the bound. Works in both modes.
-  std::vector<size_t> ContainingInRange(size_t attr,
-                                        const RangeBound& bound) const;
+  /// interned mode scans `values` in id order and unions the id-keyed
+  /// slots of the ids inside the bound, needing no rank table. `values`
+  /// is the dictionary the caller reads through (a snapshot's frozen
+  /// copy); null means the index's own. Works in both modes.
+  std::vector<size_t> ContainingInRange(
+      size_t attr, const RangeBound& bound,
+      const DictionaryView* values = nullptr) const;
 
   /// Ids of tuples whose `attr` component contains EVERY value of
   /// `values` — the intersection of the postings. Empty vector when any
@@ -134,9 +138,10 @@ class NfrIndex {
   std::vector<std::map<Value, std::vector<size_t>>> postings_;
 
   // Id-keyed mode: postings_by_id_[attr][value_id] -> sorted tuple ids.
-  // Slots are grown on demand; an empty slot means "unindexed".
+  // Slots are grown on demand; an empty slot means "unindexed". Chunked
+  // copy-on-write, so copying the index shares every slot chunk.
   std::shared_ptr<const ValueDictionary> dict_;
-  std::vector<std::vector<std::vector<size_t>>> postings_by_id_;
+  std::vector<CowVector<std::vector<size_t>>> postings_by_id_;
 };
 
 /// Intersects two sorted id vectors.

@@ -56,7 +56,7 @@ done:
 }  // namespace
 
 NfrRelation ReduceGreedy(const NfrRelation& r) {
-  std::vector<NfrTuple> tuples = r.tuples();
+  std::vector<NfrTuple> tuples(r.tuples().begin(), r.tuples().end());
   while (ComposeStep(&tuples, nullptr)) {
   }
   return NfrRelation(r.schema(), std::move(tuples));
@@ -64,7 +64,7 @@ NfrRelation ReduceGreedy(const NfrRelation& r) {
 
 NfrRelation ReduceRandomized(const NfrRelation& r, Rng* rng) {
   NF2_CHECK(rng != nullptr);
-  std::vector<NfrTuple> tuples = r.tuples();
+  std::vector<NfrTuple> tuples(r.tuples().begin(), r.tuples().end());
   rng->Shuffle(&tuples);
   while (ComposeStep(&tuples, rng)) {
   }

@@ -152,7 +152,7 @@ NfrRelation NestOnLegacy(const NfrRelation& r, size_t attr) {
 NfrRelation RandomizedNestOn(const NfrRelation& r, size_t attr, Rng* rng) {
   NF2_CHECK(attr < r.degree());
   NF2_CHECK(rng != nullptr);
-  std::vector<NfrTuple> tuples = r.tuples();
+  std::vector<NfrTuple> tuples(r.tuples().begin(), r.tuples().end());
   rng->Shuffle(&tuples);
   bool changed = true;
   while (changed) {

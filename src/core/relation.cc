@@ -70,12 +70,8 @@ std::ostream& operator<<(std::ostream& os, const FlatRelation& rel) {
 }
 
 NfrRelation::NfrRelation(Schema schema, std::vector<NfrTuple> tuples)
-    : schema_(std::move(schema)), tuples_(std::move(tuples)) {
-  for (const NfrTuple& t : tuples_) {
-    NF2_CHECK(t.degree() == schema_.degree())
-        << "NFR tuple degree mismatch";
-    NF2_CHECK(t.IsWellFormed()) << "NFR tuple has empty component";
-  }
+    : schema_(std::move(schema)) {
+  for (NfrTuple& t : tuples) Add(std::move(t));
 }
 
 NfrRelation NfrRelation::FromFlat(const FlatRelation& flat) {
@@ -100,10 +96,7 @@ void NfrRelation::Add(NfrTuple t) {
 
 void NfrRelation::RemoveAt(size_t index) {
   NF2_CHECK(index < tuples_.size());
-  if (index + 1 != tuples_.size()) {
-    tuples_[index] = std::move(tuples_.back());
-  }
-  tuples_.pop_back();
+  tuples_.SwapRemove(index);
 }
 
 bool NfrRelation::Remove(const NfrTuple& t) {
@@ -186,8 +179,8 @@ bool NfrRelation::EqualsAsSet(const NfrRelation& other) const {
   if (schema_ != other.schema_ || tuples_.size() != other.tuples_.size()) {
     return false;
   }
-  std::vector<NfrTuple> a = tuples_;
-  std::vector<NfrTuple> b = other.tuples_;
+  std::vector<NfrTuple> a(tuples_.begin(), tuples_.end());
+  std::vector<NfrTuple> b(other.tuples_.begin(), other.tuples_.end());
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   return a == b;
@@ -197,12 +190,16 @@ bool NfrRelation::EquivalentTo(const NfrRelation& other) const {
   return Expand() == other.Expand();
 }
 
-void NfrRelation::SortTuples() { std::sort(tuples_.begin(), tuples_.end()); }
+void NfrRelation::SortTuples() {
+  std::vector<NfrTuple> sorted(tuples_.begin(), tuples_.end());
+  std::sort(sorted.begin(), sorted.end());
+  tuples_ = CowVector<NfrTuple>(std::move(sorted));
+}
 
 std::string NfrRelation::ToString() const {
   std::string out = StrCat("NfrRelation", schema_.ToString(), " {",
                            tuples_.size(), " tuples}\n");
-  std::vector<NfrTuple> sorted = tuples_;
+  std::vector<NfrTuple> sorted(tuples_.begin(), tuples_.end());
   std::sort(sorted.begin(), sorted.end());
   for (const NfrTuple& t : sorted) {
     out += StrCat("  ", t.ToString(schema_), "\n");

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cow_vector.h"
 #include "core/schema.h"
 #include "core/tuple.h"
 #include "util/result.h"
@@ -65,6 +66,9 @@ std::ostream& operator<<(std::ostream& os, const FlatRelation& rel);
 /// from a 1NF relation by composition/decomposition, which means the
 /// expansions of distinct tuples are pairwise disjoint and R* carries no
 /// duplicates.
+///
+/// Copying is O(|R| / kCowChunkSize) chunk pointers (core/cow_vector.h):
+/// a copy and its source share every tuple until one of them writes.
 class NfrRelation {
  public:
   NfrRelation() = default;
@@ -79,7 +83,9 @@ class NfrRelation {
   size_t size() const { return tuples_.size(); }
   bool empty() const { return tuples_.empty(); }
 
-  const std::vector<NfrTuple>& tuples() const { return tuples_; }
+  /// The tuples, in insertion order up to swap-removes. Chunked
+  /// copy-on-write storage: copying the relation shares every chunk.
+  const CowVector<NfrTuple>& tuples() const { return tuples_; }
   const NfrTuple& tuple(size_t i) const;
 
   /// Adds a tuple (no disjointness check — callers that need the
@@ -133,7 +139,7 @@ class NfrRelation {
 
  private:
   Schema schema_;
-  std::vector<NfrTuple> tuples_;
+  CowVector<NfrTuple> tuples_;
 };
 
 std::ostream& operator<<(std::ostream& os, const NfrRelation& rel);

@@ -146,10 +146,7 @@ NfrTuple CanonicalRelation::TakeTupleAt(size_t index) {
         index_->MoveEncoded(last, index, encoded_[last]);
       }
     }
-    if (index != last) {
-      encoded_[index] = std::move(encoded_[last]);
-    }
-    encoded_.pop_back();
+    encoded_.SwapRemove(index);
   } else if (index_.has_value()) {
     index_->RemoveTuple(index, out);
     if (index != last) {
@@ -224,12 +221,12 @@ NfrRelation CanonicalRelation::TuplesContaining(size_t attr,
   return out;
 }
 
-NfrRelation CanonicalRelation::TuplesInRange(size_t attr,
-                                             const RangeBound& bound) const {
+NfrRelation CanonicalRelation::TuplesInRange(
+    size_t attr, const RangeBound& bound, const DictionaryView* values) const {
   NF2_CHECK(attr < schema().degree()) << "attribute out of range";
   NfrRelation out(schema());
   if (index_.has_value()) {
-    for (size_t id : index_->ContainingInRange(attr, bound)) {
+    for (size_t id : index_->ContainingInRange(attr, bound, values)) {
       out.Add(relation_.tuple(id));
     }
     return out;

@@ -101,9 +101,13 @@ class CanonicalRelation {
 
   /// The NFR tuples whose `attr` component holds at least one value
   /// inside `bound` — a range query answered by a bound-scan of the
-  /// sorted index postings when available (kIndexed/kInterned), falling
-  /// back to a scan otherwise. The candidates for `attr < v` & co.
-  NfrRelation TuplesInRange(size_t attr, const RangeBound& bound) const;
+  /// index postings when available (kIndexed/kInterned), falling back to
+  /// a scan otherwise. The candidates for `attr < v` & co. A snapshot
+  /// reader passes its frozen dictionary as `values`, so the lookup
+  /// never touches dict_ (as with TuplesContainingId); null reads
+  /// through dict_.
+  NfrRelation TuplesInRange(size_t attr, const RangeBound& bound,
+                            const DictionaryView* values = nullptr) const;
 
   /// Id-space twin of TuplesContaining for kInterned relations: the
   /// caller resolves `value` to its ValueId against a dictionary of its
@@ -187,7 +191,7 @@ class CanonicalRelation {
   SearchMode mode_;
   Encoding encoding_;
   std::shared_ptr<ValueDictionary> dict_;  // kInterned only.
-  std::vector<EncodedTuple> encoded_;      // Mirror of relation_ (kInterned).
+  CowVector<EncodedTuple> encoded_;        // Mirror of relation_ (kInterned).
   std::optional<NfrIndex> index_;
   UpdateStats stats_;
   UpdatePathMetrics metrics_;  // All-null when not wired to a registry.

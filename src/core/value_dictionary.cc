@@ -8,10 +8,56 @@
 
 namespace nf2 {
 
+uint32_t DictionaryView::HashOf(const Value& v) {
+  // splitmix64's finalizer: Value::Hash of small ints is nearly the int
+  // itself, and probing wants every bit mixed into the low ones.
+  uint64_t h = v.Hash();
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<uint32_t>(h ^ (h >> 31));
+}
+
+size_t DictionaryView::Probe(const Value& v, uint32_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kNoId || (slot.hash == hash && values_[slot.id] == v)) {
+      return i;
+    }
+  }
+}
+
+std::optional<ValueId> DictionaryView::Find(const Value& v) const {
+  if (slots_.empty()) return std::nullopt;
+  ValueId id = slots_[Probe(v, HashOf(v))].id;
+  if (id == kNoId) return std::nullopt;
+  return id;
+}
+
+ValueDictionary::ValueDictionary(const ValueDictionary& other)
+    : DictionaryView(other), ranks_dirty_(!other.empty()) {}
+
+void ValueDictionary::GrowSlots() {
+  CowVector<Slot> grown;
+  grown.resize(slots_.empty() ? 16 : 2 * slots_.size());
+  const size_t mask = grown.size() - 1;
+  for (const Slot& slot : slots_) {
+    if (slot.id == kNoId) continue;
+    size_t i = slot.hash & mask;
+    while (grown[i].id != kNoId) i = (i + 1) & mask;
+    grown.Mutable(i) = slot;
+  }
+  slots_ = std::move(grown);
+}
+
 ValueId ValueDictionary::Intern(const Value& v) {
-  auto it = ids_.find(v);
-  if (it != ids_.end()) return it->second;
+  const uint32_t hash = HashOf(v);
+  if (!slots_.empty()) {
+    ValueId found = slots_[Probe(v, hash)].id;
+    if (found != kNoId) return found;
+  }
   NF2_CHECK(values_.size() < kMaxValues) << "value dictionary full";
+  if (2 * (values_.size() + 1) > slots_.size()) GrowSlots();
   ValueId id = static_cast<ValueId>(values_.size());
   if (!ranks_dirty_) {
     if (values_.empty() || values_[max_value_id_] < v) {
@@ -22,18 +68,12 @@ ValueId ValueDictionary::Intern(const Value& v) {
       ranks_dirty_ = true;
     }
   }
+  slots_.Mutable(Probe(v, hash)) = Slot{id, hash};
   values_.push_back(v);
-  ids_.emplace(v, id);
   return id;
 }
 
-std::optional<ValueId> ValueDictionary::Find(const Value& v) const {
-  auto it = ids_.find(v);
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
-}
-
-const Value& ValueDictionary::value(ValueId id) const {
+const Value& DictionaryView::value(ValueId id) const {
   NF2_CHECK(id < values_.size()) << "ValueId " << id << " out of range";
   return values_[id];
 }
@@ -63,15 +103,6 @@ int ValueDictionary::CompareIds(ValueId a, ValueId b) const {
   uint32_t ra = Rank(a);
   uint32_t rb = Rank(b);
   return ra < rb ? -1 : 1;
-}
-
-std::vector<ValueId> ValueDictionary::IdsInValueOrder() const {
-  EnsureRanks();
-  std::vector<ValueId> out(values_.size());
-  for (ValueId id = 0; id < out.size(); ++id) {
-    out[ranks_[id]] = id;
-  }
-  return out;
 }
 
 IdSet::IdSet(std::vector<ValueId> ids) : ids_(std::move(ids)) {

@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "core/cow_vector.h"
 #include "core/tuple.h"
 #include "core/value.h"
 #include "core/value_set.h"
@@ -17,6 +17,45 @@ namespace nf2 {
 /// first-intern order and are stable for the lifetime of the owning
 /// dictionary — stored IdSets are never invalidated by later interns.
 using ValueId = uint32_t;
+
+/// The half of a dictionary a snapshot reader needs: value -> id and
+/// id -> value lookups and the id count, over chunked copy-on-write
+/// storage (core/cow_vector.h). Copying a view copies chunk pointers
+/// only, and the copy never changes afterwards, whatever the dictionary
+/// it was copied from interns next — which is what lets a published
+/// snapshot share the writer's dictionary chunks (DESIGN.md §9). It
+/// holds nothing lazy: the rank table lives in ValueDictionary.
+///
+/// The lookup is an open-addressing table of ids (linear probing, load
+/// at most 1/2, capacity a power of two): every slot is a small plain
+/// struct, so cloning a chunk of them copies bytes and allocates once.
+class DictionaryView {
+ public:
+  /// The id of `v` if it was interned before, nullopt otherwise.
+  std::optional<ValueId> Find(const Value& v) const;
+
+  /// The value behind `id` (fatal for out-of-range ids).
+  const Value& value(ValueId id) const;
+
+  /// Number of distinct values interned.
+  size_t size() const { return values_.size(); }
+  bool empty() const { return values_.empty(); }
+
+ protected:
+  static constexpr ValueId kNoId = std::numeric_limits<ValueId>::max();
+  struct Slot {
+    ValueId id = kNoId;
+    uint32_t hash = 0;  // Low bits of the value's mixed hash.
+  };
+
+  static uint32_t HashOf(const Value& v);
+
+  /// The slot holding `v`, or the empty slot where it would go.
+  size_t Probe(const Value& v, uint32_t hash) const;
+
+  CowVector<Value> values_;  // id -> value
+  CowVector<Slot> slots_;    // value -> id; empty until the first intern
+};
 
 /// Interns atomic Values into dense ValueIds so the NFR hot paths
 /// (candidate search, nest grouping, index postings) can run on integer
@@ -32,22 +71,20 @@ using ValueId = uint32_t;
 /// Rank()/CompareIds() call re-sorts once (O(n log n) amortized over
 /// the batch of new values). This re-encoding touches the rank table
 /// only — ids, and therefore every IdSet held by callers, survive it.
-class ValueDictionary {
+///
+/// Copying shares the values and the lookup (DictionaryView) but not
+/// the rank cache, which the copy rebuilds if it is ever asked for
+/// order. Rank and CompareIds fill that cache, so they are
+/// writer-side calls: a dictionary concurrent readers hold is asked
+/// only what DictionaryView offers.
+class ValueDictionary : public DictionaryView {
  public:
   ValueDictionary() = default;
+  ValueDictionary(const ValueDictionary& other);
+  ValueDictionary& operator=(const ValueDictionary&) = delete;
 
   /// Returns the id of `v`, interning it first if unseen.
   ValueId Intern(const Value& v);
-
-  /// The id of `v` if it was interned before, nullopt otherwise.
-  std::optional<ValueId> Find(const Value& v) const;
-
-  /// The value behind `id` (fatal for out-of-range ids).
-  const Value& value(ValueId id) const;
-
-  /// Number of distinct values interned.
-  size_t size() const { return values_.size(); }
-  bool empty() const { return values_.empty(); }
 
   /// Order-preserving dense rank of `id` (see class comment).
   uint32_t Rank(ValueId id) const;
@@ -55,25 +92,15 @@ class ValueDictionary {
   /// Three-way comparison of the underlying values via ranks.
   int CompareIds(ValueId a, ValueId b) const;
 
-  /// All ids in ascending value order (materializes ranks).
-  std::vector<ValueId> IdsInValueOrder() const;
-
-  /// Forces the lazy rank table into its clean state now (idempotent,
-  /// O(1) when already clean). Concurrency contract: Rank/CompareIds
-  /// mutate the mutable rank cache when it is dirty, and interning is
-  /// what dirties it — so the engine's writers call this before
-  /// releasing the exclusive gate (engine/concurrency.h), leaving
-  /// shared readers a genuinely read-only dictionary.
-  void MaterializeRanks() const { EnsureRanks(); }
-
   static constexpr ValueId kMaxValues =
       std::numeric_limits<ValueId>::max() - 1;
 
  private:
   void EnsureRanks() const;
 
-  std::vector<Value> values_;               // id -> value
-  std::unordered_map<Value, ValueId> ids_;  // value -> id
+  /// Doubles the lookup table (16 slots at first) and re-places every
+  /// id by its stored hash.
+  void GrowSlots();
 
   // Lazy rank table; valid only when !ranks_dirty_. max_value_id_ is
   // the id holding the greatest value (used to extend ranks in place on

@@ -21,12 +21,15 @@ namespace nf2 {
 ///
 /// Physically copy-on-write: the element vector lives behind a
 /// shared_ptr-to-const, so copying a ValueSet is a refcount bump and
-/// copying an NFR tuple (or a whole relation, as the engine's snapshot
-/// publish does) shares every component instead of deep-copying it.
-/// A published rep is immutable forever — every mutating operation
-/// builds a fresh vector and swaps the pointer — so concurrently
-/// reading two ValueSets that share a rep is race-free by construction
-/// (engine/snapshot.h relies on exactly this).
+/// copying an NFR tuple shares every component instead of deep-copying
+/// it. This is the innermost of the three copy-on-write levels a
+/// snapshot publish rests on (DESIGN.md §9): when the writer clones a
+/// chunk of tuples the snapshot shares (core/cow_vector.h), each tuple
+/// copy still shares its component reps. A published rep is immutable
+/// forever — every mutating operation builds a fresh vector and swaps
+/// the pointer — so concurrently reading two ValueSets that share a rep
+/// is race-free by construction (engine/snapshot.h relies on exactly
+/// this).
 class ValueSet {
  public:
   /// Constructs the empty set (no allocation: the null rep is empty).

@@ -31,11 +31,13 @@ namespace nf2 {
 /// its writer preference: a waiting writer bars new shared entrants,
 /// bounding writer admission by the holders already in flight.
 ///
-/// Writer-side obligation: any lazily materialized, logically-const
-/// state a reader could observe must be forced before the new state is
-/// published. Database::PublishSnapshot() materializes the dictionary
-/// rank table and freezes the dictionary before the snapshot pointer
-/// swap, so snapshot readers see only genuinely immutable data.
+/// Writer-side obligation: never write memory a published snapshot
+/// can reach. Database::PublishSnapshot() shares chunks with the writer
+/// (core/cow_vector.h), and the writer clones a shared chunk before its
+/// first write to it, so snapshot readers see only genuinely immutable
+/// data. Nothing lazy needs forcing first: snapshot readers ask their
+/// dictionary copy only what DictionaryView offers (Find, value, size),
+/// and the rank table stays lazy on the writer.
 class EngineGate {
  public:
   EngineGate() = default;

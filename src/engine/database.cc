@@ -370,22 +370,20 @@ Status Database::Recover() {
   // The recovered records were consumed above; a long-lived process
   // must not pin the whole pre-checkpoint log in RAM.
   wal_->ReleaseRecoveredRecords();
-  // Publishing here (which also materializes the dictionary rank table)
-  // makes the recovered state visible to snapshot readers before the
-  // database is served.
+  // Publishing here makes the recovered state visible to snapshot
+  // readers before the database is served.
   PublishSnapshot();
   recovered_ = true;
   return Status::OK();
 }
 
 void Database::PublishSnapshot() {
-  // Writer-side obligation (engine/concurrency.h): force every lazily
-  // materialized cache before the freeze, so the frozen copy — the
-  // only dictionary snapshot readers touch — is genuinely immutable.
-  dict_->MaterializeRanks();
-  if (frozen_dict_ == nullptr || frozen_dict_size_ != dict_->size()) {
+  // Every copy below shares chunks with the writer's structures
+  // (core/cow_vector.h): the writer clones a chunk before its next
+  // write, so nothing a snapshot reaches is ever written again. The
+  // dictionary copy carries no rank table: readers never ask for order.
+  if (frozen_dict_ == nullptr || frozen_dict_->size() != dict_->size()) {
     frozen_dict_ = std::make_shared<const ValueDictionary>(*dict_);
-    frozen_dict_size_ = dict_->size();
   }
   std::shared_ptr<const DatabaseSnapshot> prev =
       snapshot_.load(std::memory_order_relaxed);
@@ -464,7 +462,7 @@ Status Database::Rollback() {
       wal_->Append({0, WalOpType::kTxnAbort, "", ""}).status());
   // Publish the restored state: the aborted transaction's relations
   // are in dirty_relations_ (marked as its ops ran), so their
-  // pre-transaction content is re-cloned for readers.
+  // pre-transaction content is copied again for readers.
   PublishSnapshot();
   return Status::OK();
 }
@@ -624,8 +622,16 @@ Status Database::CheckFdsForInsert(const RelationInfo& info,
     // An existing NFR tuple whose components contain every LHS value of
     // `tuple` expands to some simple tuple agreeing with it on the LHS;
     // the FD then demands its RHS components be exactly the inserted
-    // RHS values.
-    for (const NfrTuple& s : rel.relation().tuples()) {
+    // RHS values. The postings of the first LHS value give the
+    // candidates, membership filters the rest (as IndexCandidates
+    // does), so the check never scans the relation.
+    NfrRelation found;
+    const NfrRelation* candidates = &rel.relation();
+    if (!lhs.empty()) {
+      found = rel.TuplesContaining(lhs[0], tuple.at(lhs[0]));
+      candidates = &found;
+    }
+    for (const NfrTuple& s : candidates->tuples()) {
       bool shares_lhs = true;
       for (size_t a : lhs) {
         if (!s.at(a).Contains(tuple.at(a))) {

@@ -250,7 +250,7 @@ class Database {
 
   /// FailedPrecondition when inserting `tuple` into `name` would break
   /// one of its declared FDs (checked against the stored NFR without
-  /// expansion).
+  /// expansion, on the tuples the index finds for the first LHS value).
   Status CheckFdsForInsert(const RelationInfo& info,
                            const CanonicalRelation& rel,
                            const FlatTuple& tuple) const;
@@ -275,11 +275,12 @@ class Database {
   Status MaybeAutoCheckpoint();
 
   /// Publishes the current state as a new immutable DatabaseSnapshot
-  /// (DESIGN.md §9): materializes the dictionary rank table, freezes
-  /// the dictionary if it grew, clones every dirty relation (clean
-  /// ones share their version with the previous snapshot), then swaps
-  /// the snapshot pointer — the single commit point readers observe.
-  /// Called at every commit boundary; writer context only.
+  /// (DESIGN.md §9): copies the dictionary if it grew and every dirty
+  /// relation (clean ones share their version with the previous
+  /// snapshot) — each copy sharing every chunk with the writer, so the
+  /// cost is chunk pointers — then swaps the snapshot pointer, the
+  /// single commit point readers observe. Called at every commit
+  /// boundary; writer context only.
   void PublishSnapshot();
 
   /// Declared first so it is destroyed last: the WAL, tables, and
@@ -330,12 +331,11 @@ class Database {
   /// Live-version bookkeeping behind nf2_snapshot_{pinned,oldest_age_ms}.
   std::shared_ptr<SnapshotTracker> snapshot_tracker_;
   /// Frozen dictionary shared by snapshots; re-copied only when dict_
-  /// grew since the last freeze (ids are append-only, so an equal size
+  /// grew since the last publish (ids are append-only, so an equal size
   /// means an identical dictionary).
   std::shared_ptr<const ValueDictionary> frozen_dict_;
-  size_t frozen_dict_size_ = 0;
   /// Relations mutated since the last publish — the ones the next
-  /// publish must clone instead of share.
+  /// publish must copy instead of share.
   std::set<std::string> dirty_relations_;
   std::atomic<uint64_t> catalog_epoch_{0};
   uint64_t published_version_ = 0;

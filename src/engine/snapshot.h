@@ -59,18 +59,24 @@ class SnapshotTracker {
 /// Structure: relation name → shared RelationVersion (catalog info +
 /// the canonical NFR as of the publish), plus the frozen dictionary
 /// those relations' interned ids resolve through. Publishing is
-/// copy-on-write at relation granularity: a relation untouched since
-/// the previous snapshot shares its RelationVersion pointer; a rebuilt
-/// one is cloned, and inside the clone every unmodified component set
-/// is shared, not deep-copied (ValueSet's COW rep).
+/// copy-on-write at three levels: a relation untouched since the
+/// previous snapshot shares its RelationVersion pointer; a mutated one
+/// is copied, and the copy shares every chunk of its tuples, encoded
+/// mirror and index postings the commit did not touch
+/// (core/cow_vector.h); inside a chunk the writer did clone, every
+/// component set is still shared (ValueSet's COW rep). The dictionary
+/// is copied the same way, so a publish costs chunk pointers plus the
+/// chunks the commit touched, never a pass over |R|.
 ///
 /// Concurrency contract: everything reachable from a snapshot is
-/// immutable — the relations are clones the writer will never touch
-/// again, the dictionary is a frozen copy (so even its lazy rank table
-/// is private and pre-materialized), and point queries go through the
-/// id-space index path (TuplesContainingId) rather than any live
-/// structure. Pinning is one atomic shared_ptr load; dropping the last
-/// pin frees the version. A snapshot must not outlive its Database
+/// immutable — its chunks are ones the writer will never write again
+/// (it clones a shared chunk on its first write), the dictionary is a
+/// copy readers ask only Find, value and size (its rank cache is empty
+/// and would be filled by a write), and point and range queries go
+/// through the index in id space (TuplesContainingId, TuplesInRange
+/// with the frozen dictionary) rather than any live structure. Pinning
+/// is one atomic shared_ptr load; dropping the last pin frees the
+/// version. A snapshot must not outlive its Database
 /// (it holds metric handles into the database's registry, like
 /// Database::Relation() pointers always have).
 class DatabaseSnapshot {
@@ -106,7 +112,9 @@ class DatabaseSnapshot {
   uint64_t wal_epoch() const { return wal_epoch_; }
   uint64_t wal_lsn() const { return wal_lsn_; }
 
-  /// The frozen dictionary (never null; may be empty).
+  /// The frozen dictionary (never null; may be empty). Readers ask it
+  /// only what DictionaryView offers (Find, value, size) — the view
+  /// CatalogView hands the planner.
   const std::shared_ptr<const ValueDictionary>& dictionary() const {
     return dictionary_;
   }

@@ -275,7 +275,7 @@ void SeqScanOp::OpenImpl() {
 }
 
 NfrRelation IndexCandidates(const CanonicalRelation& rel,
-                            const ValueDictionary* frozen_dict,
+                            const DictionaryView* frozen_dict,
                             const std::vector<EqRestriction>& eqs) {
   NF2_CHECK(!eqs.empty());
   // The first restriction is answered from the postings; the rest
@@ -309,7 +309,7 @@ NfrRelation IndexCandidates(const CanonicalRelation& rel,
 }
 
 IndexScanOp::IndexScanOp(std::string label, const CanonicalRelation* rel,
-                         const ValueDictionary* frozen_dict,
+                         const DictionaryView* frozen_dict,
                          std::vector<EqRestriction> eqs)
     : NfrExpandOpBase(std::move(label), rel->schema()),
       source_(rel),
@@ -328,24 +328,10 @@ void IndexScanOp::CloseImpl() {
 }
 
 NfrRelation RangeCandidates(const CanonicalRelation& rel,
-                            const ValueDictionary* frozen_dict,
+                            const DictionaryView* frozen_dict,
                             const RangeRestriction& range) {
-  NfrRelation matches(rel.schema());
-  if (frozen_dict != nullptr && rel.dictionary() != nullptr) {
-    // Snapshot read over an interned relation: the index's range scan
-    // would order ids via the live dictionary, so scan the frozen
-    // tuples instead.
-    for (const NfrTuple& t : rel.relation().tuples()) {
-      for (const Value& v : t.at(range.attr).values()) {
-        if (range.bound.Admits(v)) {
-          matches.Add(t);
-          break;
-        }
-      }
-    }
-  } else {
-    matches = rel.TuplesInRange(range.attr, range.bound);
-  }
+  const NfrRelation matches =
+      rel.TuplesInRange(range.attr, range.bound, frozen_dict);
   // Narrow the ranged component to its in-bound values: the tuple's
   // expansion is then exactly the selected fragment of R*.
   NfrRelation out(rel.schema());
@@ -365,7 +351,7 @@ NfrRelation RangeCandidates(const CanonicalRelation& rel,
 
 IndexRangeScanOp::IndexRangeScanOp(std::string label,
                                    const CanonicalRelation* rel,
-                                   const ValueDictionary* frozen_dict,
+                                   const DictionaryView* frozen_dict,
                                    RangeRestriction range)
     : NfrExpandOpBase(std::move(label), rel->schema()),
       source_(rel),
@@ -545,7 +531,7 @@ NfrSourceOp::NfrSourceOp(std::string label, const NfrRelation* rel)
     : PlanOp(std::move(label), rel->schema()), borrowed_(rel) {}
 
 NfrSourceOp::NfrSourceOp(std::string label, const CanonicalRelation* rel,
-                         const ValueDictionary* frozen_dict,
+                         const DictionaryView* frozen_dict,
                          std::vector<EqRestriction> eqs)
     : PlanOp(std::move(label), rel->schema()),
       source_(rel),

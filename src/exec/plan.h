@@ -143,7 +143,7 @@ class SeqScanOp : public NfrExpandOpBase {
 /// matching fragment. `frozen_dict` non-null routes value resolution
 /// through a snapshot's frozen dictionary.
 NfrRelation IndexCandidates(const CanonicalRelation& rel,
-                            const ValueDictionary* frozen_dict,
+                            const DictionaryView* frozen_dict,
                             const std::vector<EqRestriction>& eqs);
 
 /// Index-backed point selection: expands only the candidate fragment
@@ -151,7 +151,7 @@ NfrRelation IndexCandidates(const CanonicalRelation& rel,
 class IndexScanOp : public NfrExpandOpBase {
  public:
   IndexScanOp(std::string label, const CanonicalRelation* rel,
-              const ValueDictionary* frozen_dict,
+              const DictionaryView* frozen_dict,
               std::vector<EqRestriction> eqs);
 
  protected:
@@ -160,20 +160,19 @@ class IndexScanOp : public NfrExpandOpBase {
 
  private:
   const CanonicalRelation* source_;
-  const ValueDictionary* frozen_dict_;
+  const DictionaryView* frozen_dict_;
   std::vector<EqRestriction> eqs_;
   NfrRelation candidates_;
 };
 
 /// Computes the NFR tuples matching `range` against a canonical
-/// relation via a bound-scan of the sorted index postings
-/// (TuplesInRange), narrowing the ranged component to its in-bound
-/// values before expansion. `frozen_dict` non-null marks a snapshot
-/// read: the interned index orders ids through the LIVE dictionary,
-/// which concurrent writers mutate, so that case scans the frozen
-/// tuples directly instead.
+/// relation via a bound-scan of the index postings (TuplesInRange),
+/// narrowing the ranged component to its in-bound values before
+/// expansion. `frozen_dict` non-null marks a snapshot read: the scan
+/// then reads values through the snapshot's frozen dictionary, never
+/// the live one concurrent writers intern into.
 NfrRelation RangeCandidates(const CanonicalRelation& rel,
-                            const ValueDictionary* frozen_dict,
+                            const DictionaryView* frozen_dict,
                             const RangeRestriction& range);
 
 /// Index-backed range selection: expands only the candidate fragment
@@ -181,7 +180,7 @@ NfrRelation RangeCandidates(const CanonicalRelation& rel,
 class IndexRangeScanOp : public NfrExpandOpBase {
  public:
   IndexRangeScanOp(std::string label, const CanonicalRelation* rel,
-                   const ValueDictionary* frozen_dict, RangeRestriction range);
+                   const DictionaryView* frozen_dict, RangeRestriction range);
 
  protected:
   void OpenImpl() override;
@@ -189,7 +188,7 @@ class IndexRangeScanOp : public NfrExpandOpBase {
 
  private:
   const CanonicalRelation* source_;
-  const ValueDictionary* frozen_dict_;
+  const DictionaryView* frozen_dict_;
   RangeRestriction range_;
   NfrRelation candidates_;
 };
@@ -312,7 +311,7 @@ class NfrSourceOp : public PlanOp {
 
   /// Index-restricted form.
   NfrSourceOp(std::string label, const CanonicalRelation* rel,
-              const ValueDictionary* frozen_dict,
+              const DictionaryView* frozen_dict,
               std::vector<EqRestriction> eqs);
 
   /// Valid between Open and Close.
@@ -326,7 +325,7 @@ class NfrSourceOp : public PlanOp {
  private:
   const NfrRelation* borrowed_ = nullptr;
   const CanonicalRelation* source_ = nullptr;
-  const ValueDictionary* frozen_dict_ = nullptr;
+  const DictionaryView* frozen_dict_ = nullptr;
   std::vector<EqRestriction> eqs_;
   NfrRelation candidates_;
   const NfrRelation* nfr_ = nullptr;

@@ -249,7 +249,7 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
   auto make_row_source = [&]() -> Result<std::unique_ptr<PlanOp>> {
     std::vector<std::unique_ptr<PlanOp>> leaves;
     for (size_t i = 0; i < shards.size(); ++i) {
-      const ValueDictionary* frozen = shards[i]->frozen_dictionary();
+      const DictionaryView* frozen = shards[i]->frozen_dictionary();
       if (!eqs.empty()) {
         leaves.push_back(std::make_unique<IndexScanOp>(
             StrCat("index_scan(", stmt.name, ": ", EqListLabel(schema, eqs),

@@ -33,8 +33,9 @@ class CatalogView {
   virtual Result<BoundRelation> Bind(const std::string& name) const = 0;
 
   /// Non-null when point lookups must resolve literals against a
-  /// frozen dictionary (snapshot reads) instead of the live one.
-  virtual const ValueDictionary* frozen_dictionary() const = 0;
+  /// frozen dictionary (snapshot reads) instead of the live one. A
+  /// snapshot reader asks it nothing lazy: Find, value and size.
+  virtual const DictionaryView* frozen_dictionary() const = 0;
 };
 
 /// A compiled SELECT: the operator tree plus how its rows render.

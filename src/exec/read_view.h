@@ -31,7 +31,7 @@ class ReadView : public CatalogView {
 
   // CatalogView:
   Result<BoundRelation> Bind(const std::string& name) const override;
-  const ValueDictionary* frozen_dictionary() const override {
+  const DictionaryView* frozen_dictionary() const override {
     return snapshot_ != nullptr ? snapshot_->dictionary().get() : nullptr;
   }
 

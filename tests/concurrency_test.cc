@@ -312,6 +312,224 @@ TEST_F(ConcurrencyTest, PinnedSnapshotsMatchShadowOracleStates) {
   ASSERT_TRUE((*db)->VerifyIntegrity().ok());
 }
 
+// The same MVCC torture at chunk scale: the relation spans many chunks
+// of every copy-on-write structure, the dictionary grows past chunk
+// boundaries (and rehashes its lookup) with out-of-order interns, the
+// stream commits and rolls back transactions, and readers also answer
+// point lookups through each pinned snapshot — frozen Find plus
+// TuplesContainingId — and a range lookup through its frozen
+// dictionary, against a shadow set of live rows.
+TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
+  constexpr int kReaders = 3;
+  constexpr int64_t kBase = 1000;
+  constexpr int kRounds = 120;
+
+  struct Op {
+    enum Kind { kInsert, kDelete, kBegin, kCommit, kRollback } kind;
+    FlatTuple row;
+  };
+  auto row = [](int64_t k, int64_t g, int64_t v) {
+    return FlatTuple{V(k), V(g), Value::String(StrCat("v", v))};
+  };
+  std::vector<Op> ops;
+  // Stream values are new strings in scrambled order, so the
+  // dictionary's value chunks fill and its lookup rehashes mid-stream,
+  // and ranks go dirty on every out-of-order intern.
+  for (int i = 0; i < kRounds; ++i) {
+    const int64_t k = kBase + i;
+    if (i % 10 == 4) {
+      ops.push_back({Op::kBegin, {}});
+      ops.push_back({Op::kInsert, row(k, 1, 5000 + (i * 7919) % 997)});
+      ops.push_back({Op::kDelete, row(i, i % 5, (i * 37) % 1009)});
+      ops.push_back({i % 20 == 4 ? Op::kRollback : Op::kCommit, {}});
+      continue;
+    }
+    // Every third insert repeats a base row's (g, v), so it composes
+    // with that tuple instead of appending.
+    if (i % 3 == 0) {
+      const int64_t twin = 500 + i;
+      ops.push_back({Op::kInsert, row(k, twin % 5, (twin * 37) % 1009)});
+    } else {
+      ops.push_back({Op::kInsert, row(k, 1, 5000 + (i * 7919) % 997)});
+    }
+    if (i % 4 == 3) {
+      const int64_t gone = 200 + i;
+      ops.push_back({Op::kDelete, row(gone, gone % 5, (gone * 37) % 1009)});
+    }
+  }
+  // Keys whose rows the readers look up: base keys deleted by the
+  // stream (also inside rolled-back and committed transactions), keys
+  // the stream inserts, a key that composes, and one never present.
+  std::vector<int64_t> probes = {0, 4, 14, 203, 207, 500, 503, 999};
+  for (int64_t d : {3, 4, 14, kRounds - 1, 10 * kRounds}) {
+    probes.push_back(kBase + d);
+  }
+
+  auto db = Database::Open(dir_);
+  ASSERT_TRUE(db.ok());
+  const Schema schema({Attribute{"k", ValueType::kInt},
+                       Attribute{"g", ValueType::kInt},
+                       Attribute{"v", ValueType::kString}});
+  ASSERT_TRUE((*db)->CreateRelation("pts", schema, {0, 1, 2}).ok());
+  std::set<FlatTuple> live;
+  ASSERT_TRUE((*db)->Begin().ok());
+  for (int64_t k = 0; k < kBase; ++k) {
+    FlatTuple r = row(k, k % 5, (k * 37) % 1009);
+    ASSERT_TRUE((*db)->Insert("pts", r).ok());
+    live.insert(r);
+  }
+  ASSERT_TRUE((*db)->Commit().ok());
+
+  // Point lookup through a pinned snapshot only: the frozen dictionary
+  // resolves the key, the id-keyed postings find the tuples.
+  auto lookup = [](const DatabaseSnapshot& snap, int64_t key) {
+    std::string out;
+    auto version = snap.FindVersion("pts");
+    if (version == nullptr) return out;
+    const DictionaryView& dict = *snap.dictionary();
+    std::optional<ValueId> id = dict.Find(V(key));
+    if (!id.has_value()) return out;
+    const FlatRelation hits =
+        version->relation->TuplesContainingId(0, *id).Expand();
+    for (const FlatTuple& t : hits.tuples()) {
+      if (t.at(0) == V(key)) out += t.ToString();
+    }
+    return out;
+  };
+  auto oracle_lookup = [](const std::set<FlatTuple>& rows, int64_t key) {
+    std::string out;
+    for (const FlatTuple& t : rows) {
+      if (t.at(0) == V(key)) out += t.ToString();
+    }
+    return out;
+  };
+  // And one range lookup through the same frozen dictionary, over keys
+  // the stream deletes and inserts.
+  RangeBound keys;
+  keys.lower = V(kBase - 8);
+  keys.upper = V(kBase + 24);
+  keys.upper_inclusive = false;
+  auto range_lookup = [&keys](const DatabaseSnapshot& snap) {
+    std::set<FlatTuple> hits;
+    auto version = snap.FindVersion("pts");
+    if (version == nullptr) return std::string();
+    const DictionaryView* dict = snap.dictionary().get();
+    const FlatRelation expanded =
+        version->relation->TuplesInRange(0, keys, dict).Expand();
+    for (const FlatTuple& t : expanded.tuples()) {
+      if (keys.Admits(t.at(0))) hits.insert(t);
+    }
+    std::string out;
+    for (const FlatTuple& t : hits) out += t.ToString();
+    return out;
+  };
+  auto oracle_range = [&keys](const std::set<FlatTuple>& rows) {
+    std::string out;
+    for (const FlatTuple& t : rows) {
+      if (keys.Admits(t.at(0))) out += t.ToString();
+    }
+    return out;
+  };
+
+  struct Expected {
+    std::string bytes;
+    std::vector<std::string> lookups;
+  };
+  std::mutex mu;
+  std::map<uint64_t, Expected> expected;
+  // Records the version the writer just published: its bytes, and the
+  // probe answers the shadow set gives.
+  auto record = [&](const std::set<FlatTuple>& rows) {
+    auto snap = (*db)->PinSnapshot();
+    Expected e;
+    e.bytes = SerializeSnapshot(*snap);
+    for (int64_t key : probes) e.lookups.push_back(oracle_lookup(rows, key));
+    e.lookups.push_back(oracle_range(rows));
+    auto rel = snap->Relation("pts");
+    const std::vector<FlatTuple> want(rows.begin(), rows.end());
+    EXPECT_EQ((*rel)->Expand(), FlatRelation((*rel)->schema(), want));
+    std::lock_guard<std::mutex> lock(mu);
+    expected.emplace(snap->version(), std::move(e));
+  };
+  record(live);
+  {
+    auto rel = (*db)->PinSnapshot()->Relation("pts");
+    ASSERT_GT((*rel)->size(), 10 * kCowChunkSize);
+  }
+
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<long> verified{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!writer_done.load(std::memory_order_acquire)) {
+        auto snap = (*db)->PinSnapshot();
+        const std::string bytes = SerializeSnapshot(*snap);
+        std::vector<std::string> lookups;
+        for (int64_t key : probes) lookups.push_back(lookup(*snap, key));
+        lookups.push_back(range_lookup(*snap));
+        if (bytes != SerializeSnapshot(*snap)) {
+          ++mismatches;
+          continue;
+        }
+        Expected want;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          auto it = expected.find(snap->version());
+          if (it == expected.end()) continue;
+          want = it->second;
+        }
+        if (bytes == want.bytes && lookups == want.lookups) {
+          ++verified;
+        } else {
+          ++mismatches;
+        }
+      }
+    });
+  }
+
+  std::set<FlatTuple> pending = live;  // Live rows as the writer sees them.
+  bool in_txn = false;
+  for (const Op& op : ops) {
+    switch (op.kind) {
+      case Op::kInsert:
+        ASSERT_TRUE((*db)->Insert("pts", op.row).ok()) << op.row.ToString();
+        pending.insert(op.row);
+        break;
+      case Op::kDelete:
+        ASSERT_TRUE((*db)->Delete("pts", op.row).ok()) << op.row.ToString();
+        pending.erase(op.row);
+        break;
+      case Op::kBegin:
+        ASSERT_TRUE((*db)->Begin().ok());
+        in_txn = true;
+        break;
+      case Op::kCommit:
+        ASSERT_TRUE((*db)->Commit().ok());
+        in_txn = false;
+        break;
+      case Op::kRollback:
+        ASSERT_TRUE((*db)->Rollback().ok());
+        pending = live;
+        in_txn = false;
+        break;
+    }
+    if (!in_txn) {
+      live = pending;
+      record(live);
+    }
+  }
+  writer_done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(verified.load(), 0);
+  EXPECT_GT((*db)->dictionary()->size(), 2 * kBase + 64);
+  ASSERT_TRUE((*db)->VerifyIntegrity().ok());
+}
+
 // Regression: while session A holds the open transaction, A's second
 // BEGIN is rejected by the engine, B's reads proceed, and B's mutations
 // bounce with kUnavailable until A resolves the transaction.

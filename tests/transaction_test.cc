@@ -227,6 +227,33 @@ TEST_F(TransactionTest, FdEnforcementRejectsViolation) {
   EXPECT_NE(violation.message().find("violates FD"), std::string::npos);
   // A second owner with the same asset is fine.
   EXPECT_TRUE((*db)->Insert("holdings", Row("bob", "gold")).ok());
+  // The two rows compose into one tuple whose Owner component holds
+  // both owners; the check must still find bob inside it.
+  Result<const NfrRelation*> holdings = (*db)->Relation("holdings");
+  ASSERT_TRUE(holdings.ok());
+  ASSERT_EQ((*holdings)->size(), 1u);
+  EXPECT_EQ((*holdings)->tuple(0).at(0).size(), 2u);
+  EXPECT_EQ((*db)->Insert("holdings", Row("bob", "silver")).code(),
+            StatusCode::kFailedPrecondition);
+  // A two-attribute LHS: (Owner, Asset) -> Vault. Only a tuple holding
+  // both LHS values constrains the insert.
+  const Schema schema = Schema::OfStrings({"Owner", "Asset", "Vault"});
+  const Fd pair_fd{AttrSet{0, 1}, AttrSet{2}};
+  ASSERT_TRUE((*db)->CreateRelation("vaults", schema, {}, {pair_fd}).ok());
+  auto row3 = [](const char* owner, const char* asset, const char* vault) {
+    return FlatTuple{V(owner), V(asset), V(vault)};
+  };
+  ASSERT_TRUE((*db)->Insert("vaults", row3("ada", "gold", "v1")).ok());
+  ASSERT_TRUE((*db)->Insert("vaults", row3("ada", "silver", "v1")).ok());
+  ASSERT_TRUE((*db)->Insert("vaults", row3("bob", "gold", "v1")).ok());
+  EXPECT_EQ((*db)->Insert("vaults", row3("ada", "gold", "v2")).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*db)->Insert("vaults", row3("bob", "gold", "v2")).code(),
+            StatusCode::kFailedPrecondition);
+  // Each LHS value alone is shared with some stored row, the pair is not.
+  EXPECT_TRUE((*db)->Insert("vaults", row3("bob", "silver", "v2")).ok());
+  EXPECT_TRUE((*db)->Insert("vaults", row3("cy", "gold", "v3")).ok());
+  EXPECT_TRUE((*db)->VerifyIntegrity().ok());
   // With enforcement off the same insert passes.
   Database::Options lax;
   lax.enforce_fds = false;

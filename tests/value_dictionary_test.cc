@@ -98,14 +98,25 @@ TEST(ValueDictionaryTest, RanksPreserveValueOrder) {
   }
 }
 
-TEST(ValueDictionaryTest, IdsInValueOrderIsSorted) {
-  Rng rng(11);
+// A copy shares the source's chunks and keeps answering as of the copy
+// while the source interns on — across value chunks and lookup
+// rehashes, in and out of value order — and orders its own ids.
+TEST(ValueDictionaryTest, CopyIsUnchangedByLaterInterns) {
   ValueDictionary dict;
-  for (int i = 0; i < 100; ++i) dict.Intern(RandomAtom(&rng));
-  std::vector<ValueId> ordered = dict.IdsInValueOrder();
-  ASSERT_EQ(ordered.size(), dict.size());
-  for (size_t i = 1; i < ordered.size(); ++i) {
-    EXPECT_LT(dict.value(ordered[i - 1]), dict.value(ordered[i]));
+  for (int64_t i = 0; i < 100; ++i) dict.Intern(V(i * 2));
+  const ValueDictionary copy = dict;
+  for (int64_t i = 0; i < 1000; ++i) dict.Intern(V(999 - i * 2));
+  ASSERT_EQ(copy.size(), 100u);
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_EQ(copy.Find(V(i * 2)), std::optional<ValueId>(i));
+    EXPECT_EQ(copy.value(static_cast<ValueId>(i)), V(i * 2));
+    EXPECT_EQ(dict.Find(V(i * 2)), std::optional<ValueId>(i));
+  }
+  EXPECT_FALSE(copy.Find(V(int64_t{999})).has_value());
+  EXPECT_TRUE(dict.Find(V(int64_t{999})).has_value());
+  EXPECT_EQ(dict.size(), 1100u);
+  for (ValueId a = 0; a + 1 < copy.size(); ++a) {
+    EXPECT_LT(copy.Rank(a), copy.Rank(a + 1));
   }
 }
 
