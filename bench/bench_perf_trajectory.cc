@@ -43,6 +43,12 @@
 //                    depths 1..3; per-depth speedups are embedded and
 //                    must grow with depth (the expansion is
 //                    exponential in depth, the factorized cost linear).
+//   factorized_selection — COUNT(*) and SUM under a range on the group
+//                    key that keeps about 1% of the groups, at depths
+//                    1..3: scan, filter and aggregate the rows
+//                    (baseline) vs the factorized aggregate over the
+//                    range-narrowed NFR tuples (optimized); answers
+//                    asserted identical, per-depth speedups embedded.
 //   sharded_scatter_gather — 4 concurrent writers issuing point-routed
 //                    autocommit INSERTs through a ShardRouter with 1
 //                    shard (baseline: every write serializes through
@@ -129,8 +135,8 @@ struct Section {
   size_t batch_size = 0;           // pipelining only.
   uint64_t stmtcache_hits = 0;     // pipelining only.
   uint64_t stmtcache_misses = 0;   // pipelining only.
-  std::vector<size_t> depths;          // factorized_aggregation only.
-  std::vector<double> depth_speedups;  // factorized_aggregation only.
+  std::vector<size_t> depths;          // factorized_* only.
+  std::vector<double> depth_speedups;  // factorized_* only.
   size_t shards_baseline = 0;          // sharded_scatter_gather only.
   size_t shards_optimized = 0;         // sharded_scatter_gather only.
   int shard_writers = 0;               // sharded_scatter_gather only.
@@ -535,11 +541,18 @@ std::vector<FlatTuple> DrainOp(PlanOp* op) {
   return rows;
 }
 
+/// An unrestricted narrowing leaf: every stored tuple, expanded.
+std::unique_ptr<NarrowScanOp> FullScan(const CanonicalRelation* rel) {
+  return std::make_unique<NarrowScanOp>("scan", rel, /*frozen_dict=*/nullptr,
+                                        Selection{}, /*expand=*/true);
+}
+
 /// Point selection through the exec/ operators: for each probed key,
-/// the baseline expands the whole stored NFR and filters (seq scan +
-/// filter), the optimized path asks the inverted index for the
-/// containing tuples and expands only the restricted fragment
-/// (IndexScanOp). Both paths must return identical row sets per query.
+/// the baseline expands the whole stored NFR and filters (full scan +
+/// filter), the optimized path probes the inverted index for the
+/// containing tuples and expands only the narrowed fragment (the
+/// planner's `index_scan` leaf). Both paths must return identical row
+/// sets per query.
 Section BenchIndexedSelection(const FlatRelation& flat,
                               const Permutation& perm, size_t queries,
                               int reps) {
@@ -563,16 +576,17 @@ Section BenchIndexedSelection(const FlatRelation& flat,
   bool rows_identical = true;
   auto run_scan = [&] {
     for (const Value& key : keys) {
-      auto scan = std::make_unique<SeqScanOp>("scan", &rel->relation());
-      FilterOp filter("filter", std::move(scan),
-                      Predicate::Compare(0, CompareOp::kEq, key));
+      FilterOp filter("filter", FullScan(&*rel), Predicate::Eq(0, key));
       if (DrainOp(&filter).size() != 1) rows_identical = false;
     }
   };
   auto run_index = [&] {
     for (const Value& key : keys) {
-      IndexScanOp index_scan("index_scan", &*rel, /*frozen_dict=*/nullptr,
-                             {EqRestriction{0, key}});
+      Selection point;
+      point.restrictions.push_back({0, Predicate::Eq(0, key), {key, key}});
+      point.probe = EqRestriction{0, key};
+      NarrowScanOp index_scan("index_scan", &*rel, /*frozen_dict=*/nullptr,
+                              std::move(point), /*expand=*/true);
       if (DrainOp(&index_scan).size() != 1) rows_identical = false;
     }
   };
@@ -585,31 +599,40 @@ Section BenchIndexedSelection(const FlatRelation& flat,
   return out;
 }
 
-/// Builds a depth-`d` nested relation: `groups` NFR tuples, each with a
-/// singleton group key and `d` independent set components of `fanout`
-/// values — so every tuple expands to fanout^d simple tuples.
-NfrRelation MakeDeepRelation(size_t groups, size_t depth, size_t fanout) {
-  std::vector<std::string> names;
-  names.push_back("G");
-  for (size_t j = 0; j < depth; ++j) names.push_back(StrCat("E", j + 1));
-  NfrRelation rel{Schema::OfStrings(names)};
+/// Builds a depth-`d` nested relation in canonical form: `groups` NFR
+/// tuples, each with the singleton group key G = g and `d` set
+/// components of `fanout` values that no other group shares, so every
+/// tuple expands to fanout^d simple tuples and no two compose.
+CanonicalRelation MakeDeepRelation(size_t groups, size_t depth,
+                                   size_t fanout) {
+  std::vector<Attribute> attrs{{"G", ValueType::kInt}};
+  for (size_t j = 0; j < depth; ++j) {
+    attrs.push_back({StrCat("E", j + 1), ValueType::kInt});
+  }
+  NfrRelation rel{Schema(std::move(attrs))};
   for (size_t g = 0; g < groups; ++g) {
     std::vector<ValueSet> components;
-    components.push_back(ValueSet(Value::String(StrCat("g", g))));
+    components.push_back(ValueSet(Value::Int(static_cast<int64_t>(g))));
     for (size_t j = 0; j < depth; ++j) {
       std::vector<Value> values;
       for (size_t v = 0; v < fanout; ++v) {
-        values.push_back(Value::String(StrCat("e", j, "_", v)));
+        values.push_back(Value::Int(static_cast<int64_t>(g * fanout + v)));
       }
       components.push_back(ValueSet(std::move(values)));
     }
     rel.Add(NfrTuple(std::move(components)));
   }
-  return rel;
+  Permutation order;
+  for (size_t j = 0; j <= depth; ++j) order.push_back(depth - j);
+  Result<CanonicalRelation> canonical =
+      CanonicalRelation::FromFlat(rel.Expand(), order);
+  NF2_CHECK(canonical.ok()) << canonical.status().ToString();
+  NF2_CHECK(canonical->size() == groups) << "deep relation is not canonical";
+  return std::move(*canonical);
 }
 
 /// COUNT(*) at nesting depths 1..3: expand-then-scan (AggregateOp over
-/// a SeqScanOp, which materializes every simple tuple) vs the
+/// a full scan, which materializes every simple tuple) vs the
 /// factorized aggregate (component-cardinality products over the NFR,
 /// zero expansion). The per-depth speedups are recorded and must grow:
 /// the expansion is fanout^depth while the factorized cost is linear in
@@ -622,21 +645,22 @@ Section BenchFactorizedAggregation(size_t groups, size_t fanout, int reps) {
   Schema count_schema({{"COUNT(*)", ValueType::kInt}});
 
   for (size_t depth = 1; depth <= 3; ++depth) {
-    NfrRelation rel = MakeDeepRelation(groups, depth, fanout);
+    const CanonicalRelation rel = MakeDeepRelation(groups, depth, fanout);
     size_t expanded = groups;
     for (size_t j = 0; j < depth; ++j) expanded *= fanout;
     out.operations += expanded;
 
     int64_t scan_count = -1, factorized_count = -1;
     double scan_sec = BestSeconds(reps, [&] {
-      auto scan = std::make_unique<SeqScanOp>("scan", &rel);
-      AggregateOp agg("aggregate", std::move(scan), std::nullopt,
-                      count_star, count_schema);
+      AggregateOp agg("aggregate", FullScan(&rel), std::nullopt, count_star,
+                      count_schema);
       scan_count = DrainOp(&agg).at(0).at(0).AsInt();
     });
     double fact_sec = BestSeconds(reps, [&] {
-      std::vector<std::unique_ptr<NfrSourceOp>> sources;
-      sources.push_back(std::make_unique<NfrSourceOp>("nfr_scan", &rel));
+      std::vector<std::unique_ptr<NarrowScanOp>> sources;
+      sources.push_back(std::make_unique<NarrowScanOp>(
+          "nfr_scan", &rel, /*frozen_dict=*/nullptr, Selection{},
+          /*expand=*/false));
       FactorizedAggregateOp agg("nfr_aggregate", std::move(sources),
                                 std::nullopt, count_star, count_schema);
       factorized_count = DrainOp(&agg).at(0).at(0).AsInt();
@@ -652,6 +676,70 @@ Section BenchFactorizedAggregation(size_t groups, size_t fanout, int reps) {
     out.depth_speedups.push_back(scan_sec / fact_sec);
   }
   out.counters_identical = true;
+  return out;
+}
+
+/// COUNT(*) and SUM(E1) under `G >= lo AND G < hi`, a range keeping
+/// about 1% of the groups, at nesting depths 1..3: the row path (full
+/// scan, filter, aggregate; it expands every group) vs the factorized
+/// aggregate over the narrowing leaf, which bound-scans the index and
+/// folds only the groups in range. Both must answer identically.
+Section BenchFactorizedSelection(size_t groups, size_t fanout, int reps) {
+  Section out;
+  out.name = "factorized_selection";
+
+  const int64_t lo = static_cast<int64_t>(groups / 2);
+  const int64_t hi =
+      lo + static_cast<int64_t>(std::max<size_t>(1, groups / 100));
+  const Predicate in_range = Predicate::And(Predicate::Ge(0, Value::Int(lo)),
+                                            Predicate::Lt(0, Value::Int(hi)));
+  const RangeBound bound{Value::Int(lo), Value::Int(hi), true, false};
+  AggCompute sum;
+  sum.spec.func = AggSpec::Func::kSum;
+  sum.attr = 1;  // E1.
+  sum.type = ValueType::kInt;
+  const std::vector<AggCompute> aggs{AggCompute{}, sum};  // COUNT(*), SUM.
+  const Schema agg_schema(
+      {{"COUNT(*)", ValueType::kInt}, {"SUM(E1)", ValueType::kInt}});
+
+  bool identical = true;
+  for (size_t depth = 1; depth <= 3; ++depth) {
+    const CanonicalRelation rel = MakeDeepRelation(groups, depth, fanout);
+    size_t expanded = groups;
+    for (size_t j = 0; j < depth; ++j) expanded *= fanout;
+    out.operations += expanded;
+
+    std::vector<FlatTuple> rows_answer, factorized_answer;
+    double rows_sec = BestSeconds(reps, [&] {
+      auto filter =
+          std::make_unique<FilterOp>("filter", FullScan(&rel), in_range);
+      AggregateOp agg("aggregate", std::move(filter), std::nullopt, aggs,
+                      agg_schema);
+      rows_answer = DrainOp(&agg);
+    });
+    double fact_sec = BestSeconds(reps, [&] {
+      Selection ranged;
+      ranged.restrictions.push_back({0, in_range, bound});
+      ranged.ranged = RangeRestriction{0, bound};
+      std::vector<std::unique_ptr<NarrowScanOp>> sources;
+      sources.push_back(std::make_unique<NarrowScanOp>(
+          "nfr_index_range_scan", &rel, /*frozen_dict=*/nullptr,
+          std::move(ranged), /*expand=*/false));
+      FactorizedAggregateOp agg("nfr_aggregate", std::move(sources),
+                                std::nullopt, aggs, agg_schema);
+      factorized_answer = DrainOp(&agg);
+    });
+    int64_t want_count = (hi - lo) * static_cast<int64_t>(expanded / groups);
+    identical = identical && rows_answer == factorized_answer &&
+                rows_answer.at(0).at(0).AsInt() == want_count;
+    out.baseline_sec += rows_sec;
+    out.optimized_sec += fact_sec;
+    out.depths.push_back(depth);
+    out.depth_speedups.push_back(rows_sec / fact_sec);
+  }
+  out.counters_identical = identical;
+  NF2_CHECK(out.counters_identical)
+      << "a range aggregate answered differently on the two paths";
   return out;
 }
 
@@ -1034,7 +1122,8 @@ void WriteJson(const std::string& path, const KeyedConfig& config,
       file << "      \"incremental_pages_skipped\": " << s.ckpt_pages_skipped
            << ",\n";
     }
-    if (s.name == "factorized_aggregation") {
+    if (s.name == "factorized_aggregation" ||
+        s.name == "factorized_selection") {
       file << "      \"depths\": [";
       for (size_t d = 0; d < s.depths.size(); ++d) {
         file << (d > 0 ? ", " : "") << s.depths[d];
@@ -1111,6 +1200,10 @@ int Main(int argc, char** argv) {
   // scaled down for the smoke run.
   sections.push_back(BenchFactorizedAggregation(
       /*groups=*/flat_rows >= 10000 ? 400 : 50, /*fanout=*/6, /*reps=*/3));
+  // The same sweep under a range keeping about 1% of the groups: the
+  // row path still expands every group, the narrowed one a few.
+  sections.push_back(BenchFactorizedSelection(
+      /*groups=*/flat_rows >= 10000 ? 400 : 100, /*fanout=*/6, /*reps=*/3));
   // Point-routed writes through the shard router: 4 concurrent writers
   // against 1 shard (single gate) vs 4 shards (independent engines),
   // plus the scattered COUNT(*) correctness check.
@@ -1177,6 +1270,15 @@ int Main(int argc, char** argv) {
   NF2_LOG(Info) << "factorized_aggregation: COUNT(*) over components vs "
                 << "expand-then-scan: " << per_depth
                 << " (speedup must grow with depth)";
+  const Section& narrowed = by_name("factorized_selection");
+  per_depth.clear();
+  for (size_t d = 0; d < narrowed.depths.size(); ++d) {
+    per_depth += StrCat(d > 0 ? ", " : "", "d", narrowed.depths[d], "=x",
+                        Fmt(narrowed.depth_speedups[d], 1));
+  }
+  NF2_LOG(Info) << "factorized_selection: COUNT(*), SUM under a 1% range "
+                << "over narrowed components vs scan-filter-aggregate: "
+                << per_depth;
   const Section& sharded = by_name("sharded_scatter_gather");
   NF2_LOG(Info) << "sharded_scatter_gather: " << sharded.shard_writers
                 << " writers' point-routed inserts over "

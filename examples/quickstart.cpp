@@ -9,13 +9,13 @@
 
 #include "core/format.h"
 #include "engine/database.h"
+#include "nfrql/executor.h"
 #include "util/logging.h"
 
 using nf2::AttrSet;
 using nf2::Database;
 using nf2::FlatTuple;
 using nf2::Mvd;
-using nf2::Predicate;
 using nf2::Schema;
 using nf2::V;
 
@@ -52,11 +52,11 @@ int main(int argc, char** argv) {
   NF2_CHECK(rel.ok());
   std::printf("%s\n", nf2::RenderTable(**rel, "takes (stored NFR)").c_str());
 
-  // 5. Query with ordinary predicates; results come back flat.
-  auto q = (*db)->Query("takes", Predicate::Eq(1, V("databases")));
-  NF2_CHECK(q.ok());
-  std::printf("%s\n",
-              nf2::RenderTable(*q, "who takes databases?").c_str());
+  // 5. Query in NFRQL; results come back flat.
+  nf2::Executor executor(db->get());
+  auto q = executor.Execute("SELECT * FROM takes WHERE Course = databases");
+  NF2_CHECK(q.ok()) << q.status();
+  std::printf("who takes databases?\n%s\n\n", q->c_str());
 
   // 6. Delete one course enrollment; the canonical form is maintained
   //    with O(f(n)) compositions, independent of relation size.

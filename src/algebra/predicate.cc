@@ -148,13 +148,6 @@ bool Predicate::MatchesExpansion(const NfrTuple& t) const {
   return false;
 }
 
-std::optional<std::pair<size_t, Value>> Predicate::AsSingleEq() const {
-  if (node_->kind == NodeKind::kCompare && node_->op == CompareOp::kEq) {
-    return std::make_pair(node_->attr, node_->value);
-  }
-  return std::nullopt;
-}
-
 size_t Predicate::MaxAttr() const {
   struct Impl {
     static size_t Max(const Node* node) {
@@ -173,6 +166,53 @@ size_t Predicate::MaxAttr() const {
     }
   };
   return Impl::Max(node_.get());
+}
+
+std::optional<size_t> Predicate::SoleAttr() const {
+  struct Impl {
+    // Folds every comparison's attribute into `attr`; false once two
+    // differ.
+    static bool Same(const Node* node, std::optional<size_t>* attr) {
+      switch (node->kind) {
+        case NodeKind::kTrue:
+          return true;
+        case NodeKind::kCompare:
+          if (attr->has_value() && **attr != node->attr) return false;
+          *attr = node->attr;
+          return true;
+        case NodeKind::kAnd:
+        case NodeKind::kOr:
+          return Same(node->left.get(), attr) &&
+                 Same(node->right.get(), attr);
+        case NodeKind::kNot:
+          return Same(node->left.get(), attr);
+      }
+      return false;
+    }
+  };
+  std::optional<size_t> attr;
+  return Impl::Same(node_.get(), &attr) ? attr : std::nullopt;
+}
+
+bool Predicate::EvalValue(const Value& v) const {
+  struct Impl {
+    static bool Eval(const Node* node, const Value& v) {
+      switch (node->kind) {
+        case NodeKind::kTrue:
+          return true;
+        case NodeKind::kCompare:
+          return ApplyOp(node->op, v, node->value);
+        case NodeKind::kAnd:
+          return Eval(node->left.get(), v) && Eval(node->right.get(), v);
+        case NodeKind::kOr:
+          return Eval(node->left.get(), v) || Eval(node->right.get(), v);
+        case NodeKind::kNot:
+          return !Eval(node->left.get(), v);
+      }
+      return false;
+    }
+  };
+  return Impl::Eval(node_.get(), v);
 }
 
 std::string Predicate::ToString(const Schema& schema) const {

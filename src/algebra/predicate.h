@@ -73,10 +73,14 @@ class Predicate {
   /// Largest attribute index referenced (0 when none).
   size_t MaxAttr() const;
 
-  /// When this predicate is exactly one `attr = value` comparison,
-  /// returns (attr, value); otherwise nullopt. Lets executors route
-  /// point queries through value indexes.
-  std::optional<std::pair<size_t, Value>> AsSingleEq() const;
+  /// The one attribute every comparison references, or nullopt when
+  /// the comparisons reference two or more (or there are none).
+  std::optional<size_t> SoleAttr() const;
+
+  /// EvalFlat of a predicate over SoleAttr() alone, on a row holding
+  /// `v` at that attribute: every comparison reads `v`. Narrowing a
+  /// component to the values this admits selects exactly (Theorem 1).
+  bool EvalValue(const Value& v) const;
 
   /// "(A = s1 AND B < 4)"-style rendering.
   std::string ToString(const Schema& schema) const;

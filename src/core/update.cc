@@ -221,50 +221,6 @@ NfrRelation CanonicalRelation::TuplesContaining(size_t attr,
   return out;
 }
 
-NfrRelation CanonicalRelation::TuplesInRange(
-    size_t attr, const RangeBound& bound, const DictionaryView* values) const {
-  NF2_CHECK(attr < schema().degree()) << "attribute out of range";
-  NfrRelation out(schema());
-  if (index_.has_value()) {
-    for (size_t id : index_->ContainingInRange(attr, bound, values)) {
-      out.Add(relation_.tuple(id));
-    }
-    return out;
-  }
-  for (const NfrTuple& t : relation_.tuples()) {
-    for (const Value& v : t.at(attr).values()) {
-      if (bound.Admits(v)) {
-        out.Add(t);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-NfrRelation CanonicalRelation::TuplesContainingId(size_t attr,
-                                                  ValueId id) const {
-  NF2_CHECK(attr < schema().degree()) << "attribute out of range";
-  NF2_CHECK(encoding_ == Encoding::kInterned)
-      << "TuplesContainingId requires an interned relation";
-  NfrRelation out(schema());
-  if (index_.has_value() && index_->interned()) {
-    const std::vector<size_t>* ids = index_->PostingsById(attr, id);
-    if (ids != nullptr) {
-      for (size_t tuple_id : *ids) {
-        out.Add(relation_.tuple(tuple_id));
-      }
-    }
-    return out;
-  }
-  for (size_t i = 0; i < encoded_.size(); ++i) {
-    if (encoded_[i].at(attr).Contains(id)) {
-      out.Add(relation_.tuple(i));
-    }
-  }
-  return out;
-}
-
 bool CanonicalRelation::Contains(const FlatTuple& t) const {
   if (t.degree() != schema().degree()) return false;
   return FindContainingTuple(t) != relation_.size();

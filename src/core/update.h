@@ -90,6 +90,12 @@ class CanonicalRelation {
   /// Number of NFR tuples currently held.
   size_t size() const { return relation_.size(); }
 
+  /// The inverted index over relation(), whose tuple ids are positions
+  /// in it; null in kScan mode.
+  const NfrIndex* index() const {
+    return index_.has_value() ? &*index_ : nullptr;
+  }
+
   /// True when the simple tuple `t` is in R*.
   bool Contains(const FlatTuple& t) const;
 
@@ -98,25 +104,6 @@ class CanonicalRelation {
   /// falling back to a scan otherwise. Exactly the tuples a tuple-level
   /// select for `attr = value` returns.
   NfrRelation TuplesContaining(size_t attr, const Value& value) const;
-
-  /// The NFR tuples whose `attr` component holds at least one value
-  /// inside `bound` — a range query answered by a bound-scan of the
-  /// index postings when available (kIndexed/kInterned), falling back to
-  /// a scan otherwise. The candidates for `attr < v` & co. A snapshot
-  /// reader passes its frozen dictionary as `values`, so the lookup
-  /// never touches dict_ (as with TuplesContainingId); null reads
-  /// through dict_.
-  NfrRelation TuplesInRange(size_t attr, const RangeBound& bound,
-                            const DictionaryView* values = nullptr) const;
-
-  /// Id-space twin of TuplesContaining for kInterned relations: the
-  /// caller resolves `value` to its ValueId against a dictionary of its
-  /// choosing, and the lookup then never touches dict_ — which is what
-  /// lets a snapshot reader (engine/snapshot.h) answer point queries
-  /// against a frozen dictionary while writers intern into the live
-  /// one. Answered from the inverted index when available, falling
-  /// back to a scan of the encoded mirror.
-  NfrRelation TuplesContainingId(size_t attr, ValueId id) const;
 
   /// §4.2: inserts simple tuple `t`, restoring canonical form via the
   /// candidate-tuple / recons procedure. AlreadyExists if present.

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <string_view>
 
-#include "algebra/operators.h"
 #include "dependency/design.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -623,8 +622,8 @@ Status Database::CheckFdsForInsert(const RelationInfo& info,
     // `tuple` expands to some simple tuple agreeing with it on the LHS;
     // the FD then demands its RHS components be exactly the inserted
     // RHS values. The postings of the first LHS value give the
-    // candidates, membership filters the rest (as IndexCandidates
-    // does), so the check never scans the relation.
+    // candidates, membership filters the rest (as the planner's
+    // narrowing leaf does), so the check never scans the relation.
     NfrRelation found;
     const NfrRelation* candidates = &rel.relation();
     if (!lhs.empty()) {
@@ -733,24 +732,6 @@ Result<bool> Database::Contains(const std::string& name,
 Result<FlatRelation> Database::Scan(const std::string& name) const {
   NF2_ASSIGN_OR_RETURN(const NfrRelation* rel, Relation(name));
   return rel->Expand();
-}
-
-Result<FlatRelation> Database::Query(const std::string& name,
-                                     const Predicate& pred) const {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
-    return Status::NotFound(StrCat("relation '", name, "' not found"));
-  }
-  // Point-query fast path: a single `attr = value` predicate is
-  // answered from the inverted index, expanding only the touched
-  // tuples.
-  std::optional<std::pair<size_t, Value>> eq = pred.AsSingleEq();
-  if (eq.has_value() && eq->first < it->second.schema().degree()) {
-    NfrRelation touched =
-        it->second.TuplesContaining(eq->first, eq->second);
-    return SelectNfrExact(touched, pred).Expand();
-  }
-  return SelectNfrExact(it->second.relation(), pred).Expand();
 }
 
 Status Database::Checkpoint() {

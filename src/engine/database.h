@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "algebra/predicate.h"
 #include "catalog/catalog.h"
 #include "core/update.h"
 #include "engine/snapshot.h"
@@ -121,11 +120,6 @@ class Database {
 
   /// R* of the stored relation.
   Result<FlatRelation> Scan(const std::string& name) const;
-
-  /// sigma_pred(R*), evaluated against the NFR without full expansion
-  /// of non-matching tuples.
-  Result<FlatRelation> Query(const std::string& name,
-                             const Predicate& pred) const;
 
   /// Starts a transaction: subsequent Insert/Delete calls become
   /// atomic — Commit makes them durable as a unit; Rollback (or a crash

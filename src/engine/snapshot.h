@@ -73,10 +73,10 @@ class SnapshotTracker {
 /// (it clones a shared chunk on its first write), the dictionary is a
 /// copy readers ask only Find, value and size (its rank cache is empty
 /// and would be filled by a write), and point and range queries go
-/// through the index in id space (TuplesContainingId, TuplesInRange
-/// with the frozen dictionary) rather than any live structure. Pinning
-/// is one atomic shared_ptr load; dropping the last pin frees the
-/// version. A snapshot must not outlive its Database
+/// through the index in id space (the narrowing leaf's PostingsById
+/// and ContainingInRange with the frozen dictionary) rather than any
+/// live structure. Pinning is one atomic shared_ptr load; dropping the
+/// last pin frees the version. A snapshot must not outlive its Database
 /// (it holds metric handles into the database's registry, like
 /// Database::Relation() pointers always have).
 class DatabaseSnapshot {

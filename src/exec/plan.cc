@@ -240,133 +240,121 @@ void PlanOp::SetStat(const std::string& key, int64_t value) {
 
 // --- Scans ----------------------------------------------------------------
 
-void NfrExpandOpBase::StartIteration(const NfrRelation* rel) {
-  rel_ = rel;
-  tuple_index_ = 0;
-  buffer_.clear();
-  buffer_pos_ = 0;
+namespace {
+
+/// `component` narrowed to the values `r` admits: nullopt when none is,
+/// `component` itself when all are. Only values inside r.bound are
+/// tested, with the Value::Compare that EvalFlat applies.
+std::optional<ValueSet> Narrowed(const ValueSet& component,
+                                 const AttrRestriction& r) {
+  const std::vector<Value>& values = component.values();
+  auto first = values.begin();
+  auto last = values.end();
+  if (r.bound.lower.has_value()) {
+    first = r.bound.lower_inclusive
+                ? std::lower_bound(first, last, *r.bound.lower)
+                : std::upper_bound(first, last, *r.bound.lower);
+  }
+  if (r.bound.upper.has_value()) {
+    last = r.bound.upper_inclusive
+               ? std::upper_bound(first, last, *r.bound.upper)
+               : std::lower_bound(first, last, *r.bound.upper);
+  }
+  // Values are copied out only once one is dropped.
+  bool dropped = first != values.begin() || last != values.end();
+  std::vector<Value> keep;
+  for (auto it = first; it != last; ++it) {
+    if (r.pred.EvalValue(*it)) {
+      if (dropped) keep.push_back(*it);
+    } else if (!dropped) {
+      dropped = true;
+      keep.assign(first, it);
+    }
+  }
+  if (!dropped) return component;
+  if (keep.empty()) return std::nullopt;
+  return ValueSet::FromSortedUnique(std::move(keep));
 }
 
-bool NfrExpandOpBase::NextImpl(FlatTuple* out) {
+}  // namespace
+
+NarrowScanOp::NarrowScanOp(std::string label, const CanonicalRelation* rel,
+                           const DictionaryView* frozen_dict,
+                           Selection selection, bool expand)
+    : PlanOp(std::move(label), rel->schema()),
+      source_(rel),
+      frozen_dict_(frozen_dict),
+      selection_(std::move(selection)),
+      expand_(expand) {}
+
+void NarrowScanOp::Narrow(const NfrTuple& t) {
+  std::optional<NfrTuple> narrowed;
+  for (const AttrRestriction& r : selection_.restrictions) {
+    std::optional<ValueSet> kept = Narrowed(t.at(r.attr), r);
+    if (!kept.has_value()) return;
+    if (kept->size() == t.at(r.attr).size()) continue;
+    if (!narrowed.has_value()) narrowed = t;
+    narrowed->at(r.attr) = std::move(*kept);
+  }
+  narrowed_.Add(narrowed.has_value() ? std::move(*narrowed) : t);
+}
+
+void NarrowScanOp::OpenImpl() {
+  const NfrRelation& stored = source_->relation();
+  const NfrIndex* index = source_->index();
+  if (selection_.restrictions.empty()) {
+    nfr_ = &stored;
+  } else {
+    narrowed_ = NfrRelation(stored.schema());
+    if (index != nullptr && selection_.probe.has_value()) {
+      const EqRestriction& probe = *selection_.probe;
+      const std::vector<size_t>* postings = nullptr;
+      if (frozen_dict_ == nullptr) {
+        postings = index->Postings(probe.attr, probe.value);
+      } else if (std::optional<ValueId> id = frozen_dict_->Find(probe.value)) {
+        postings = index->PostingsById(probe.attr, *id);
+      }
+      if (postings != nullptr) {
+        for (size_t pos : *postings) Narrow(stored.tuple(pos));
+      }
+    } else if (index != nullptr && selection_.ranged.has_value()) {
+      const RangeRestriction& ranged = *selection_.ranged;
+      for (size_t pos : index->ContainingInRange(ranged.attr, ranged.bound,
+                                                 frozen_dict_)) {
+        Narrow(stored.tuple(pos));
+      }
+    } else {
+      for (const NfrTuple& t : stored.tuples()) Narrow(t);
+    }
+    nfr_ = &narrowed_;
+  }
+  if (expand_) {
+    SetStat("nfr_tuples", static_cast<int64_t>(nfr_->size()));
+  } else {
+    SetStat("materialized", nfr_ == &stored ? 0 : 1);
+    ReportRows(nfr_->size());
+  }
+}
+
+bool NarrowScanOp::NextImpl(FlatTuple* out) {
+  if (!expand_) return false;
   while (true) {
     if (buffer_pos_ < buffer_.size()) {
       *out = buffer_[buffer_pos_++];
       return true;
     }
-    if (rel_ == nullptr || tuple_index_ >= rel_->size()) return false;
-    buffer_ = rel_->tuple(tuple_index_++).Expand();
+    if (tuple_index_ >= nfr_->size()) return false;
+    buffer_ = nfr_->tuple(tuple_index_++).Expand();
     buffer_pos_ = 0;
   }
 }
 
-void NfrExpandOpBase::CloseImpl() {
-  rel_ = nullptr;
+void NarrowScanOp::CloseImpl() {
+  nfr_ = nullptr;
+  narrowed_ = NfrRelation(source_->schema());
   tuple_index_ = 0;
   std::vector<FlatTuple>().swap(buffer_);
   buffer_pos_ = 0;
-}
-
-SeqScanOp::SeqScanOp(std::string label, const NfrRelation* rel)
-    : NfrExpandOpBase(std::move(label), rel->schema()), source_(rel) {}
-
-void SeqScanOp::OpenImpl() {
-  SetStat("nfr_tuples", static_cast<int64_t>(source_->size()));
-  StartIteration(source_);
-}
-
-NfrRelation IndexCandidates(const CanonicalRelation& rel,
-                            const DictionaryView* frozen_dict,
-                            const std::vector<EqRestriction>& eqs) {
-  NF2_CHECK(!eqs.empty());
-  // The first restriction is answered from the postings; the rest
-  // filter its candidates by membership.
-  NfrRelation candidates;
-  if (frozen_dict != nullptr) {
-    std::optional<ValueId> id = frozen_dict->Find(eqs[0].value);
-    candidates = id.has_value()
-                     ? rel.TuplesContainingId(eqs[0].attr, *id)
-                     : NfrRelation(rel.schema());
-  } else {
-    candidates = rel.TuplesContaining(eqs[0].attr, eqs[0].value);
-  }
-  NfrRelation out(rel.schema());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const NfrTuple& t = candidates.tuple(i);
-    bool all = true;
-    for (size_t j = 1; j < eqs.size() && all; ++j) {
-      all = t.at(eqs[j].attr).Contains(eqs[j].value);
-    }
-    if (!all) continue;
-    // Narrow every restricted component to the matched singleton: the
-    // tuple's expansion is then exactly the selected fragment of R*.
-    NfrTuple restricted = t;
-    for (const EqRestriction& eq : eqs) {
-      restricted.at(eq.attr) = ValueSet(eq.value);
-    }
-    out.Add(std::move(restricted));
-  }
-  return out;
-}
-
-IndexScanOp::IndexScanOp(std::string label, const CanonicalRelation* rel,
-                         const DictionaryView* frozen_dict,
-                         std::vector<EqRestriction> eqs)
-    : NfrExpandOpBase(std::move(label), rel->schema()),
-      source_(rel),
-      frozen_dict_(frozen_dict),
-      eqs_(std::move(eqs)) {}
-
-void IndexScanOp::OpenImpl() {
-  candidates_ = IndexCandidates(*source_, frozen_dict_, eqs_);
-  SetStat("nfr_tuples", static_cast<int64_t>(candidates_.size()));
-  StartIteration(&candidates_);
-}
-
-void IndexScanOp::CloseImpl() {
-  NfrExpandOpBase::CloseImpl();
-  candidates_ = NfrRelation(source_->schema());
-}
-
-NfrRelation RangeCandidates(const CanonicalRelation& rel,
-                            const DictionaryView* frozen_dict,
-                            const RangeRestriction& range) {
-  const NfrRelation matches =
-      rel.TuplesInRange(range.attr, range.bound, frozen_dict);
-  // Narrow the ranged component to its in-bound values: the tuple's
-  // expansion is then exactly the selected fragment of R*.
-  NfrRelation out(rel.schema());
-  for (size_t i = 0; i < matches.size(); ++i) {
-    const NfrTuple& t = matches.tuple(i);
-    std::vector<Value> keep;
-    for (const Value& v : t.at(range.attr).values()) {
-      if (range.bound.Admits(v)) keep.push_back(v);
-    }
-    if (keep.empty()) continue;
-    NfrTuple restricted = t;
-    restricted.at(range.attr) = ValueSet::FromSortedUnique(std::move(keep));
-    out.Add(std::move(restricted));
-  }
-  return out;
-}
-
-IndexRangeScanOp::IndexRangeScanOp(std::string label,
-                                   const CanonicalRelation* rel,
-                                   const DictionaryView* frozen_dict,
-                                   RangeRestriction range)
-    : NfrExpandOpBase(std::move(label), rel->schema()),
-      source_(rel),
-      frozen_dict_(frozen_dict),
-      range_(std::move(range)) {}
-
-void IndexRangeScanOp::OpenImpl() {
-  candidates_ = RangeCandidates(*source_, frozen_dict_, range_);
-  SetStat("nfr_tuples", static_cast<int64_t>(candidates_.size()));
-  StartIteration(&candidates_);
-}
-
-void IndexRangeScanOp::CloseImpl() {
-  NfrExpandOpBase::CloseImpl();
-  candidates_ = NfrRelation(source_->schema());
 }
 
 // --- Row transforms -------------------------------------------------------
@@ -527,50 +515,23 @@ void AggregateOp::CloseImpl() {
   pos_ = 0;
 }
 
-NfrSourceOp::NfrSourceOp(std::string label, const NfrRelation* rel)
-    : PlanOp(std::move(label), rel->schema()), borrowed_(rel) {}
-
-NfrSourceOp::NfrSourceOp(std::string label, const CanonicalRelation* rel,
-                         const DictionaryView* frozen_dict,
-                         std::vector<EqRestriction> eqs)
-    : PlanOp(std::move(label), rel->schema()),
-      source_(rel),
-      frozen_dict_(frozen_dict),
-      eqs_(std::move(eqs)) {}
-
-void NfrSourceOp::OpenImpl() {
-  if (borrowed_ != nullptr) {
-    nfr_ = borrowed_;
-    SetStat("materialized", 0);
-  } else {
-    candidates_ = IndexCandidates(*source_, frozen_dict_, eqs_);
-    nfr_ = &candidates_;
-    SetStat("materialized", 1);
-  }
-  ReportRows(nfr_->size());
-}
-
-void NfrSourceOp::CloseImpl() {
-  nfr_ = nullptr;
-  if (source_ != nullptr) candidates_ = NfrRelation(source_->schema());
-}
-
 FactorizedAggregateOp::FactorizedAggregateOp(
-    std::string label, std::vector<std::unique_ptr<NfrSourceOp>> sources,
+    std::string label, std::vector<std::unique_ptr<NarrowScanOp>> sources,
     std::optional<size_t> group_attr, std::vector<AggCompute> aggs,
     Schema output_schema)
     : PlanOp(std::move(label), std::move(output_schema)),
       group_(group_attr),
       aggs_(std::move(aggs)) {
   for (auto& source : sources) {
-    sources_.push_back(static_cast<NfrSourceOp*>(AddChild(std::move(source))));
+    sources_.push_back(
+        static_cast<NarrowScanOp*>(AddChild(std::move(source))));
   }
 }
 
 void FactorizedAggregateOp::OpenImpl() {
   std::map<Value, std::vector<AggState>> groups;
   std::vector<AggState> global(aggs_.size());
-  for (const NfrSourceOp* source : sources_) {
+  for (const NarrowScanOp* source : sources_) {
     for (const NfrTuple& t : source->nfr()->tuples()) {
       if (group_.has_value()) {
         for (const Value& gv : t.at(*group_).values()) {

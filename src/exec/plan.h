@@ -19,18 +19,38 @@
 
 namespace nf2 {
 
-/// One equality restriction an index-backed access path applies: the
+/// The `=` conjunct whose posting list drives a narrowing leaf: the
 /// component at position `attr` must contain `value`.
 struct EqRestriction {
   size_t attr = 0;
   Value value;
 };
 
-/// One range restriction an index-backed access path applies: the
+/// The range whose index bound scan drives a narrowing leaf: the
 /// component at position `attr` must hold a value inside `bound`.
 struct RangeRestriction {
   size_t attr = 0;
   RangeBound bound;
+};
+
+/// One attribute's share of a WHERE clause: the AND of the top-level
+/// conjuncts that reference `attr` alone. `bound` is the interval its
+/// `=`, `<`, `<=`, `>` and `>=` conjuncts imply, so `pred` is only
+/// tested on the component values inside it.
+struct AttrRestriction {
+  size_t attr = 0;
+  Predicate pred = Predicate::True();
+  RangeBound bound;
+};
+
+/// What a narrowing leaf selects: at most one restriction per
+/// attribute. Candidates come from the most selective index lookup: the
+/// postings of `probe`, else the bound scan of `ranged`, else every
+/// stored tuple.
+struct Selection {
+  std::vector<AttrRestriction> restrictions;
+  std::optional<EqRestriction> probe;
+  std::optional<RangeRestriction> ranged;
 };
 
 /// A Volcano-style plan operator: Open() once, Next() until it returns
@@ -91,8 +111,9 @@ class PlanOp {
   /// Records (or overwrites) a named stat for span reporting.
   void SetStat(const std::string& key, int64_t value);
 
-  /// Leaf operators that answer without emitting rows (the factorized
-  /// aggregate's NFR source) report their logical output size here.
+  /// Leaf operators that answer without emitting rows (a narrowing
+  /// leaf under the factorized aggregate) report their logical output
+  /// size here.
   void ReportRows(uint64_t rows) { rows_out_ = rows; }
 
  private:
@@ -105,92 +126,44 @@ class PlanOp {
   uint64_t elapsed_ns_ = 0;
 };
 
-/// Shared scan machinery: walk the NFR tuples of a relation, expanding
-/// each one lazily into its simple tuples. Subclasses choose the
-/// relation in OpenImpl() and hand it to StartIteration().
-class NfrExpandOpBase : public PlanOp {
- protected:
-  using PlanOp::PlanOp;
+/// The one access path of a selection (DESIGN.md §10). It takes the
+/// candidate tuples of `selection`'s index lookup in ascending
+/// position, narrows every restricted component to the values its
+/// restriction admits, and drops a tuple whose component empties. By
+/// Theorem 1 the narrowed tuples expand to exactly the selected rows,
+/// and distinct tuples still expand disjointly. With `expand` it emits
+/// those rows; without, a factorized aggregate reads the tuples through
+/// nfr(). An unrestricted leaf borrows the stored relation
+/// (materialized=0). `frozen_dict` non-null marks a snapshot read: the
+/// probe literal resolves and the bound scan compares through it, never
+/// through the live dictionary concurrent writers intern into.
+class NarrowScanOp : public PlanOp {
+ public:
+  NarrowScanOp(std::string label, const CanonicalRelation* rel,
+               const DictionaryView* frozen_dict, Selection selection,
+               bool expand);
 
-  void StartIteration(const NfrRelation* rel);
-  bool NextImpl(FlatTuple* out) final;
+  /// The selected NFR tuples; valid between Open and Close.
+  const NfrRelation* nfr() const { return nfr_; }
+
+ protected:
+  void OpenImpl() override;
+  bool NextImpl(FlatTuple* out) override;
   void CloseImpl() override;
 
  private:
-  const NfrRelation* rel_ = nullptr;
+  /// Adds `t`, narrowed, to narrowed_, unless a component empties.
+  void Narrow(const NfrTuple& t);
+
+  const CanonicalRelation* source_;
+  const DictionaryView* frozen_dict_;
+  Selection selection_;
+  bool expand_;
+  NfrRelation narrowed_;
+  const NfrRelation* nfr_ = nullptr;
   size_t tuple_index_ = 0;
   std::vector<FlatTuple> buffer_;  // Expansion of the current NFR tuple.
   size_t buffer_pos_ = 0;
-};
-
-/// Full scan of a stored NFR: every tuple, expanded.
-class SeqScanOp : public NfrExpandOpBase {
- public:
-  SeqScanOp(std::string label, const NfrRelation* rel);
-
- protected:
-  void OpenImpl() override;
-
- private:
-  const NfrRelation* source_;
-};
-
-/// Computes the NFR tuples matching `eqs` against a canonical relation:
-/// the first restriction is answered from the inverted index
-/// (TuplesContaining / TuplesContainingId), the rest filter the
-/// candidates, and every eq-restricted component is narrowed to the
-/// singleton before expansion — R* is never materialized beyond the
-/// matching fragment. `frozen_dict` non-null routes value resolution
-/// through a snapshot's frozen dictionary.
-NfrRelation IndexCandidates(const CanonicalRelation& rel,
-                            const DictionaryView* frozen_dict,
-                            const std::vector<EqRestriction>& eqs);
-
-/// Index-backed point selection: expands only the candidate fragment
-/// computed by IndexCandidates.
-class IndexScanOp : public NfrExpandOpBase {
- public:
-  IndexScanOp(std::string label, const CanonicalRelation* rel,
-              const DictionaryView* frozen_dict,
-              std::vector<EqRestriction> eqs);
-
- protected:
-  void OpenImpl() override;
-  void CloseImpl() override;
-
- private:
-  const CanonicalRelation* source_;
-  const DictionaryView* frozen_dict_;
-  std::vector<EqRestriction> eqs_;
-  NfrRelation candidates_;
-};
-
-/// Computes the NFR tuples matching `range` against a canonical
-/// relation via a bound-scan of the index postings (TuplesInRange),
-/// narrowing the ranged component to its in-bound values before
-/// expansion. `frozen_dict` non-null marks a snapshot read: the scan
-/// then reads values through the snapshot's frozen dictionary, never
-/// the live one concurrent writers intern into.
-NfrRelation RangeCandidates(const CanonicalRelation& rel,
-                            const DictionaryView* frozen_dict,
-                            const RangeRestriction& range);
-
-/// Index-backed range selection: expands only the candidate fragment
-/// computed by RangeCandidates.
-class IndexRangeScanOp : public NfrExpandOpBase {
- public:
-  IndexRangeScanOp(std::string label, const CanonicalRelation* rel,
-                   const DictionaryView* frozen_dict, RangeRestriction range);
-
- protected:
-  void OpenImpl() override;
-  void CloseImpl() override;
-
- private:
-  const CanonicalRelation* source_;
-  const DictionaryView* frozen_dict_;
-  RangeRestriction range_;
-  NfrRelation candidates_;
 };
 
 /// Concatenates its children's rows in child order. The planner puts
@@ -299,47 +272,16 @@ class AggregateOp : public PlanOp {
   size_t pos_ = 0;
 };
 
-/// Access-path leaf for the factorized aggregate: produces NFR tuples,
-/// not rows — the parent reads them via nfr(). With eq restrictions it
-/// materializes the index-selected candidate fragment; without, it
-/// borrows the stored relation by reference (materialized=0 — the
-/// aggregate runs over the factorized form with zero copying).
-class NfrSourceOp : public PlanOp {
- public:
-  /// Borrowing form (no restrictions).
-  NfrSourceOp(std::string label, const NfrRelation* rel);
-
-  /// Index-restricted form.
-  NfrSourceOp(std::string label, const CanonicalRelation* rel,
-              const DictionaryView* frozen_dict,
-              std::vector<EqRestriction> eqs);
-
-  /// Valid between Open and Close.
-  const NfrRelation* nfr() const { return nfr_; }
-
- protected:
-  void OpenImpl() override;
-  bool NextImpl(FlatTuple*) override { return false; }
-  void CloseImpl() override;
-
- private:
-  const NfrRelation* borrowed_ = nullptr;
-  const CanonicalRelation* source_ = nullptr;
-  const DictionaryView* frozen_dict_ = nullptr;
-  std::vector<EqRestriction> eqs_;
-  NfrRelation candidates_;
-  const NfrRelation* nfr_ = nullptr;
-};
-
 /// Factorized aggregation straight over the NFR (DESIGN.md §10): since
 /// expansions of distinct tuples are pairwise disjoint, COUNT(*) is
 /// Σ_t Π_j |D_j,t| and SUM(b) is Σ_t (Σ_{v∈D_b,t} v)·Π_{j≠b} |D_j,t| —
-/// no simple tuple is ever materialized. It folds the tuples of every
-/// source in order: one per shard, whose expansions are disjoint too.
+/// no simple tuple is ever materialized. It folds the narrowed tuples
+/// of every source in order: one per shard, whose expansions are
+/// disjoint too.
 class FactorizedAggregateOp : public PlanOp {
  public:
   FactorizedAggregateOp(std::string label,
-                        std::vector<std::unique_ptr<NfrSourceOp>> sources,
+                        std::vector<std::unique_ptr<NarrowScanOp>> sources,
                         std::optional<size_t> group_attr,
                         std::vector<AggCompute> aggs, Schema output_schema);
 
@@ -349,7 +291,7 @@ class FactorizedAggregateOp : public PlanOp {
   void CloseImpl() override;
 
  private:
-  std::vector<NfrSourceOp*> sources_;  // == children().
+  std::vector<NarrowScanOp*> sources_;  // == children().
   std::optional<size_t> group_;
   std::vector<AggCompute> aggs_;
   std::vector<FlatTuple> results_;

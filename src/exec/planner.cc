@@ -22,17 +22,6 @@ void CollectConjuncts(const ConditionNode& node,
   out->push_back(&node);
 }
 
-std::string EqListLabel(const Schema& schema,
-                        const std::vector<EqRestriction>& eqs) {
-  std::vector<std::string> parts;
-  parts.reserve(eqs.size());
-  for (const EqRestriction& eq : eqs) {
-    parts.push_back(StrCat(schema.attribute(eq.attr).name, " = ",
-                           eq.value.ToString()));
-  }
-  return Join(parts, ", ");
-}
-
 bool IsRangeOp(const std::string& op) {
   return op == "<" || op == "<=" || op == ">" || op == ">=";
 }
@@ -71,6 +60,98 @@ std::string RangeLabel(const Schema& schema, const RangeRestriction& range) {
                            range.bound.upper->ToString()));
   }
   return Join(parts, ", ");
+}
+
+/// A single-relation WHERE clause split for the narrowing leaf: the
+/// selection its single-attribute conjuncts make, the label text that
+/// names them, and the conjuncts relating two attributes, which stay a
+/// row filter.
+struct SplitWhere {
+  Selection selection;
+  std::string label;  // "A = a1, B != b9"; empty when unrestricted.
+  std::optional<Predicate> residual;
+};
+
+/// Groups the top-level AND-ed conjuncts of `where` by the one
+/// attribute each references. The first `=` conjunct becomes the
+/// probe; without one, the first attribute with a range conjunct is
+/// bound-scanned. The label names the probe's `=` conjuncts (or the
+/// scanned interval), then every other restriction in clause order.
+Result<SplitWhere> SplitConjuncts(const ConditionNode* where,
+                                  const Schema& schema) {
+  SplitWhere out;
+  if (where == nullptr) return out;
+  std::vector<const ConditionNode*> conjuncts;
+  CollectConjuncts(*where, &conjuncts);
+  std::vector<Predicate> preds;
+  std::vector<std::optional<size_t>> attrs;
+  for (const ConditionNode* c : conjuncts) {
+    NF2_ASSIGN_OR_RETURN(Predicate p, ResolveCondition(*c, schema));
+    attrs.push_back(p.SoleAttr());
+    preds.push_back(std::move(p));
+  }
+  // The operator of an `attr <op> literal` conjunct, or null.
+  auto compare_op = [&](size_t i) -> const std::string* {
+    return conjuncts[i]->kind == ConditionNode::Kind::kCompare
+               ? &conjuncts[i]->op
+               : nullptr;
+  };
+  Selection& sel = out.selection;
+  auto restriction_of = [&](size_t attr) {
+    return std::find_if(
+        sel.restrictions.begin(), sel.restrictions.end(),
+        [attr](const AttrRestriction& r) { return r.attr == attr; });
+  };
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    if (!attrs[i].has_value()) {
+      out.residual = out.residual.has_value()
+                         ? Predicate::And(*out.residual, preds[i])
+                         : preds[i];
+      continue;
+    }
+    auto it = restriction_of(*attrs[i]);
+    if (it == sel.restrictions.end()) {
+      it = sel.restrictions.insert(it, {*attrs[i], preds[i], {}});
+    } else {
+      it->pred = Predicate::And(it->pred, preds[i]);
+    }
+    AttrRestriction& r = *it;
+    const std::string* op = compare_op(i);
+    if (op == nullptr) continue;
+    const Value& literal = conjuncts[i]->literal;
+    if (*op == "=") {
+      TightenBound(">=", literal, &r.bound);
+      TightenBound("<=", literal, &r.bound);
+      if (!sel.probe.has_value()) sel.probe = EqRestriction{r.attr, literal};
+    } else if (IsRangeOp(*op)) {
+      TightenBound(*op, literal, &r.bound);
+    }
+  }
+  std::vector<std::string> parts;
+  std::vector<bool> named(conjuncts.size(), false);
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    const std::string* op = compare_op(i);
+    if (op == nullptr) continue;
+    if (sel.probe.has_value() && *op == "=") {
+      parts.push_back(preds[i].ToString(schema));
+      named[i] = true;
+    } else if (!sel.probe.has_value() && IsRangeOp(*op) &&
+               (!sel.ranged.has_value() || sel.ranged->attr == *attrs[i])) {
+      if (!sel.ranged.has_value()) {
+        sel.ranged =
+            RangeRestriction{*attrs[i], restriction_of(*attrs[i])->bound};
+        parts.push_back(RangeLabel(schema, *sel.ranged));
+      }
+      named[i] = true;
+    }
+  }
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    if (attrs[i].has_value() && !named[i]) {
+      parts.push_back(preds[i].ToString(schema));
+    }
+  }
+  out.label = Join(parts, ", ");
+  return out;
 }
 
 std::string AggListLabel(const SelectStatement& stmt) {
@@ -129,11 +210,53 @@ Schema AggregateOutputSchema(const Schema& input,
   return Schema(std::move(attrs));
 }
 
+/// One narrowing leaf per shard over `name`, labelled by how it finds
+/// candidates and whether it expands: scan, index_scan or
+/// index_range_scan, with an `nfr_` prefix under a factorized
+/// aggregate.
+std::vector<std::unique_ptr<NarrowScanOp>> NarrowingLeaves(
+    const std::string& name, const SplitWhere& split,
+    const std::vector<BoundRelation>& bases,
+    std::span<const CatalogView* const> shards, bool expand) {
+  const Selection& sel = split.selection;
+  const char* access = sel.probe.has_value()    ? "index_scan"
+                       : sel.ranged.has_value() ? "index_range_scan"
+                                                : "scan";
+  const std::string label =
+      StrCat(expand ? "" : "nfr_", access, "(", name,
+             split.label.empty() ? "" : ": ", split.label, ")");
+  std::vector<std::unique_ptr<NarrowScanOp>> leaves;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    leaves.push_back(std::make_unique<NarrowScanOp>(
+        label, bases[i].relation, shards[i]->frozen_dictionary(), sel,
+        expand));
+  }
+  return leaves;
+}
+
 /// The per-shard copies of one access path, concatenated in shard
 /// order; a single leaf stands alone.
-std::unique_ptr<PlanOp> UnionOf(std::vector<std::unique_ptr<PlanOp>> leaves) {
+std::unique_ptr<PlanOp> UnionOf(
+    std::vector<std::unique_ptr<NarrowScanOp>> leaves) {
   if (leaves.size() == 1) return std::move(leaves.front());
-  return std::make_unique<UnionOp>("union", std::move(leaves));
+  std::vector<std::unique_ptr<PlanOp>> inputs;
+  for (auto& leaf : leaves) inputs.push_back(std::move(leaf));
+  return std::make_unique<UnionOp>("union", std::move(inputs));
+}
+
+/// The rows of `name` that `split` selects: the narrowing leaves,
+/// under a filter when conjuncts relate two attributes.
+std::unique_ptr<PlanOp> SelectedRows(
+    const std::string& name, const SplitWhere& split,
+    const std::vector<BoundRelation>& bases,
+    std::span<const CatalogView* const> shards) {
+  std::unique_ptr<PlanOp> op =
+      UnionOf(NarrowingLeaves(name, split, bases, shards, /*expand=*/true));
+  if (split.residual.has_value()) {
+    op = std::make_unique<FilterOp>(StrCat("filter(", name, ")"),
+                                    std::move(op), *split.residual);
+  }
+  return op;
 }
 
 }  // namespace
@@ -202,84 +325,27 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
   // Every shard holds the relation under the same catalog entry.
   const Schema& schema = bases.front().info->schema;
 
-  // Split the WHERE clause (single-relation case): top-level AND-ed
-  // `attr = value` conjuncts become index restrictions, the rest a
-  // residual filter. Joined queries resolve the whole clause against
-  // the joined schema instead.
-  std::vector<EqRestriction> eqs;
-  std::optional<RangeRestriction> range;
-  std::optional<Predicate> residual;
-  if (stmt.where != nullptr && stmt.joins.empty()) {
-    std::vector<const ConditionNode*> conjuncts;
-    CollectConjuncts(*stmt.where, &conjuncts);
-    // Range conjuncts become a bound-scan only when no equality conjunct
-    // exists (point postings beat an interval walk) and the query is not
-    // an aggregate (the factorized path evaluates residuals itself).
-    bool any_eq = false;
-    for (const ConditionNode* c : conjuncts) {
-      any_eq = any_eq || (c->kind == ConditionNode::Kind::kCompare &&
-                          c->op == "=");
-    }
-    const bool try_range = !any_eq && stmt.aggregates.empty();
-    for (const ConditionNode* c : conjuncts) {
-      if (c->kind == ConditionNode::Kind::kCompare && c->op == "=") {
-        NF2_ASSIGN_OR_RETURN(size_t attr,
-                             schema.RequireIndex(c->attribute));
-        eqs.push_back({attr, c->literal});
-        continue;
-      }
-      if (try_range && c->kind == ConditionNode::Kind::kCompare &&
-          IsRangeOp(c->op)) {
-        NF2_ASSIGN_OR_RETURN(size_t attr,
-                             schema.RequireIndex(c->attribute));
-        // All bounds on the first ranged attribute fold into one
-        // interval; ranges on other attributes stay residual.
-        if (!range.has_value()) range = RangeRestriction{attr, {}};
-        if (range->attr == attr) {
-          TightenBound(c->op, c->literal, &range->bound);
-          continue;
-        }
-      }
-      NF2_ASSIGN_OR_RETURN(Predicate p, ResolveCondition(*c, schema));
-      residual = residual.has_value() ? Predicate::And(*residual, p) : p;
-    }
+  // Single-relation WHERE clauses narrow the access path itself;
+  // joined queries resolve the whole clause against the joined schema.
+  SplitWhere split;
+  if (stmt.joins.empty()) {
+    NF2_ASSIGN_OR_RETURN(split, SplitConjuncts(stmt.where.get(), schema));
   }
 
   // Base access path + joins + filter, as a row pipeline.
   auto make_row_source = [&]() -> Result<std::unique_ptr<PlanOp>> {
-    std::vector<std::unique_ptr<PlanOp>> leaves;
-    for (size_t i = 0; i < shards.size(); ++i) {
-      const DictionaryView* frozen = shards[i]->frozen_dictionary();
-      if (!eqs.empty()) {
-        leaves.push_back(std::make_unique<IndexScanOp>(
-            StrCat("index_scan(", stmt.name, ": ", EqListLabel(schema, eqs),
-                   ")"),
-            bases[i].relation, frozen, eqs));
-      } else if (range.has_value()) {
-        leaves.push_back(std::make_unique<IndexRangeScanOp>(
-            StrCat("index_range_scan(", stmt.name, ": ",
-                   RangeLabel(schema, *range), ")"),
-            bases[i].relation, frozen, *range));
-      } else {
-        leaves.push_back(std::make_unique<SeqScanOp>(
-            StrCat("scan(", stmt.name, ")"), &bases[i].relation->relation()));
-      }
-    }
-    std::unique_ptr<PlanOp> op = UnionOf(std::move(leaves));
-    if (residual.has_value()) {
-      op = std::make_unique<FilterOp>(StrCat("filter(", stmt.name, ")"),
-                                      std::move(op), *residual);
-    }
+    std::unique_ptr<PlanOp> op =
+        SelectedRows(stmt.name, split, bases, shards);
     for (const std::string& join_name : stmt.joins) {
-      std::vector<std::unique_ptr<PlanOp>> right_scans;
+      std::vector<BoundRelation> right;
       for (const CatalogView* shard : shards) {
-        NF2_ASSIGN_OR_RETURN(BoundRelation right, shard->Bind(join_name));
-        right_scans.push_back(std::make_unique<SeqScanOp>(
-            StrCat("scan(", join_name, ")"), &right.relation->relation()));
+        NF2_ASSIGN_OR_RETURN(BoundRelation r, shard->Bind(join_name));
+        right.push_back(r);
       }
-      op = std::make_unique<JoinOp>(StrCat("join(", join_name, ")"),
-                                    std::move(op),
-                                    UnionOf(std::move(right_scans)));
+      op = std::make_unique<JoinOp>(
+          StrCat("join(", join_name, ")"), std::move(op),
+          UnionOf(NarrowingLeaves(join_name, SplitWhere{}, right, shards,
+                                  /*expand=*/true)));
     }
     if (stmt.where != nullptr && !stmt.joins.empty()) {
       NF2_ASSIGN_OR_RETURN(Predicate pred,
@@ -293,9 +359,9 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
   std::unique_ptr<PlanOp> op;
   if (!stmt.aggregates.empty()) {
     // Factorized when nothing forces row-at-a-time evaluation: the
-    // aggregate then runs straight over the NFR components and R* is
-    // never expanded.
-    const bool factorized = stmt.joins.empty() && !residual.has_value();
+    // aggregate then runs straight over the narrowed NFR components and
+    // R* is never expanded.
+    const bool factorized = stmt.joins.empty() && !split.residual.has_value();
     if (factorized) {
       std::optional<size_t> group;
       if (!stmt.group_attr.empty()) {
@@ -304,23 +370,11 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
       }
       NF2_ASSIGN_OR_RETURN(std::vector<AggCompute> aggs,
                            ResolveAggregates(stmt.aggregates, schema));
-      std::vector<std::unique_ptr<NfrSourceOp>> sources;
-      for (size_t i = 0; i < shards.size(); ++i) {
-        if (!eqs.empty()) {
-          sources.push_back(std::make_unique<NfrSourceOp>(
-              StrCat("nfr_index_scan(", stmt.name, ": ",
-                     EqListLabel(schema, eqs), ")"),
-              bases[i].relation, shards[i]->frozen_dictionary(), eqs));
-        } else {
-          sources.push_back(std::make_unique<NfrSourceOp>(
-              StrCat("nfr_scan(", stmt.name, ")"),
-              &bases[i].relation->relation()));
-        }
-      }
       Schema out_schema = AggregateOutputSchema(schema, group, aggs);
       op = std::make_unique<FactorizedAggregateOp>(
           StrCat("nfr_aggregate(", AggListLabel(stmt), ")"),
-          std::move(sources), group, std::move(aggs), std::move(out_schema));
+          NarrowingLeaves(stmt.name, split, bases, shards, /*expand=*/false),
+          group, std::move(aggs), std::move(out_schema));
       plan.shape = group.has_value() ? StatementResult::Shape::kGrouped
                                      : StatementResult::Shape::kAggregate;
     } else {
@@ -391,6 +445,18 @@ Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
                                    std::move(op), *stmt.limit);
   }
   plan.root = std::move(op);
+  return plan;
+}
+
+Result<SelectPlan> PlanWhere(const std::string& name,
+                             const ConditionNode& where,
+                             const CatalogView& catalog) {
+  NF2_ASSIGN_OR_RETURN(BoundRelation base, catalog.Bind(name));
+  NF2_ASSIGN_OR_RETURN(SplitWhere split,
+                       SplitConjuncts(&where, base.info->schema));
+  const CatalogView* const one[] = {&catalog};
+  SelectPlan plan;
+  plan.root = SelectedRows(name, split, {base}, one);
   return plan;
 }
 

@@ -45,24 +45,34 @@ struct SelectPlan {
 };
 
 /// Rule-based planning of a SELECT against `catalog` (DESIGN.md §10):
-///  - top-level AND-ed `attr = value` conjuncts become an IndexScan
-///    (posting lookup + component narrowing), the residual a Filter;
-///  - aggregates with no joins and no residual run factorized over the
-///    NFR (never expanding R*), otherwise over the row stream;
+///  - the access path is one narrowing leaf: top-level AND-ed conjuncts
+///    that reference one attribute each narrow that attribute's
+///    component, with candidates from an `=` posting list, else the
+///    bound scan of the first ranged attribute, else every tuple;
+///  - conjuncts relating two attributes stay a Filter over its rows;
+///  - aggregates with no joins and no such filter run factorized over
+///    the narrowed NFR (never expanding R*), otherwise over the rows;
 ///  - joins hash-build their right side; ORDER BY/LIMIT cap the tree.
 Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
                               const CatalogView& catalog);
 
 /// The same plan over several catalogs with identical schemas, the
-/// shards of one hash-partitioned database (DESIGN.md §13). Each access
-/// path (every scan leaf, and each factorized aggregate's NFR source)
-/// is built once per shard, and a UnionOp concatenates the leaves in
-/// shard order. Everything above the leaves is built once. Hash
-/// partitioning keeps the shards' expansions disjoint, so the plan
-/// answers exactly as one engine holding their union. With one catalog
-/// this is the plan above, with no union node.
+/// shards of one hash-partitioned database (DESIGN.md §13). Each
+/// narrowing leaf (a row source, a join's right side, or a factorized
+/// aggregate's NFR source) is built once per shard, and a UnionOp
+/// concatenates the row leaves in shard order. Everything above the
+/// leaves is built once. Hash partitioning keeps the shards' expansions
+/// disjoint, so the plan answers exactly as one engine holding their
+/// union. With one catalog this is the plan above, with no union node.
 Result<SelectPlan> PlanSelect(const SelectStatement& stmt,
                               std::span<const CatalogView* const> shards);
+
+/// The rows of relation `name` that satisfy `where`: the leaf and
+/// filter of `SELECT * FROM name WHERE ...`. DELETE and UPDATE ...
+/// WHERE drain it on the live database.
+Result<SelectPlan> PlanWhere(const std::string& name,
+                             const ConditionNode& where,
+                             const CatalogView& catalog);
 
 /// Opens, drains and closes `plan` into its rows: the one execution
 /// loop of every SELECT, on one engine and across shards.

@@ -67,6 +67,16 @@ class Section4Probe {
   UpdateStats before_;
 };
 
+/// The live rows of `name` that satisfy `where`, taken from the same
+/// narrowing leaf a SELECT reads, in FlatRelation's sorted order.
+Result<FlatRelation> MatchingRows(const Database* db, const Schema& schema,
+                                  const std::string& name,
+                                  const ConditionNode& where) {
+  const ReadView live(db);
+  NF2_ASSIGN_OR_RETURN(SelectPlan plan, PlanWhere(name, where, live));
+  return FlatRelation(schema, DrainPlan(plan).rows);
+}
+
 /// Plan-tree label for statements EXPLAIN renders as a single operator.
 std::string StatementLabel(const Statement& stmt) {
   return std::visit(
@@ -326,9 +336,8 @@ Result<StatementResult> Executor::ExecDelete(const DeleteStatement& stmt) {
     FlatRelation matching(info->schema);
     {
       TraceSpan filter(trace_, OpLabel("filter", stmt.name));
-      NF2_ASSIGN_OR_RETURN(Predicate pred,
-                           ResolveCondition(*stmt.where, info->schema));
-      NF2_ASSIGN_OR_RETURN(matching, db_->Query(stmt.name, pred));
+      NF2_ASSIGN_OR_RETURN(
+          matching, MatchingRows(db_, info->schema, stmt.name, *stmt.where));
       filter.AddAttr("rows_out", static_cast<int64_t>(matching.size()));
     }
     TraceSpan apply(trace_, "recons");
@@ -354,9 +363,8 @@ Result<StatementResult> Executor::ExecUpdate(const UpdateStatement& stmt) {
   FlatRelation matching(info->schema);
   if (stmt.where != nullptr) {
     TraceSpan filter(trace_, OpLabel("filter", stmt.name));
-    NF2_ASSIGN_OR_RETURN(Predicate pred,
-                         ResolveCondition(*stmt.where, info->schema));
-    NF2_ASSIGN_OR_RETURN(matching, db_->Query(stmt.name, pred));
+    NF2_ASSIGN_OR_RETURN(
+        matching, MatchingRows(db_, info->schema, stmt.name, *stmt.where));
     filter.AddAttr("rows_out", static_cast<int64_t>(matching.size()));
   } else {
     TraceSpan scan(trace_, OpLabel("scan", stmt.name));

@@ -62,6 +62,24 @@ TEST(PredicateTest, ExpansionExactnessVsExistential) {
   EXPECT_FALSE(p.MatchesExpansion(t));   // Exact.
 }
 
+TEST(PredicateTest, SoleAttrAndEvalValue) {
+  // NOT (A < 3 OR A = 5) references A alone: on a value it answers as
+  // EvalFlat on any row holding that value.
+  Predicate p = Predicate::Not(Predicate::Or(
+      Predicate::Lt(0, Value::Int(3)), Predicate::Eq(0, Value::Int(5))));
+  EXPECT_EQ(p.SoleAttr(), std::optional<size_t>(0));
+  for (int64_t v = 0; v < 8; ++v) {
+    FlatTuple row{Value::Int(v), V("b")};
+    EXPECT_EQ(p.EvalValue(Value::Int(v)), p.EvalFlat(row)) << v;
+  }
+  EXPECT_EQ(Predicate::Eq(2, V("x")).SoleAttr(), std::optional<size_t>(2));
+  EXPECT_FALSE(Predicate::Or(Predicate::Eq(0, V("a")),
+                             Predicate::Eq(1, V("b")))
+                   .SoleAttr()
+                   .has_value());
+  EXPECT_FALSE(Predicate::True().SoleAttr().has_value());
+}
+
 TEST(PredicateTest, ToString) {
   Schema s = Schema::OfStrings({"A", "B"});
   Predicate p = Predicate::And(Predicate::Eq(0, V("x")),

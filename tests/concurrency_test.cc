@@ -22,6 +22,7 @@
 #include "engine/concurrency.h"
 #include "engine/database.h"
 #include "engine/snapshot.h"
+#include "exec/read_view.h"
 #include "nfrql/parser.h"
 #include "server/session.h"
 #include "storage/serde.h"
@@ -315,10 +316,11 @@ TEST_F(ConcurrencyTest, PinnedSnapshotsMatchShadowOracleStates) {
 // The same MVCC torture at chunk scale: the relation spans many chunks
 // of every copy-on-write structure, the dictionary grows past chunk
 // boundaries (and rehashes its lookup) with out-of-order interns, the
-// stream commits and rolls back transactions, and readers also answer
-// point lookups through each pinned snapshot — frozen Find plus
-// TuplesContainingId — and a range lookup through its frozen
-// dictionary, against a shadow set of live rows.
+// stream commits and rolls back transactions, and readers also plan
+// point and range SELECTs over each pinned snapshot — the narrowing
+// leaf's frozen Find plus id-keyed postings, and its bound scan through
+// the frozen dictionary — against a shadow set of live rows. One reader
+// also plans a range aggregate over each pinned snapshot.
 TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
   constexpr int kReaders = 3;
   constexpr int64_t kBase = 1000;
@@ -380,22 +382,29 @@ TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
   }
   ASSERT_TRUE((*db)->Commit().ok());
 
-  // Point lookup through a pinned snapshot only: the frozen dictionary
-  // resolves the key, the id-keyed postings find the tuples.
-  auto lookup = [](const DatabaseSnapshot& snap, int64_t key) {
+  // Reads planned over a pinned snapshot only, as a session's are: the
+  // narrowing leaf resolves a point key through the frozen dictionary
+  // and walks the id-keyed postings, and bound-scans a range through
+  // the same frozen dictionary.
+  auto parse_select = [](const std::string& query) {
+    Result<Statement> stmt = ParseStatement(query);
+    EXPECT_TRUE(stmt.ok()) << query << ": " << stmt.status();
+    return std::get<SelectStatement>(std::move(*stmt));
+  };
+  auto planned_rows = [&](const SelectStatement& select,
+                          std::shared_ptr<const DatabaseSnapshot> snap) {
+    const ReadView view(db->get(), std::move(snap));
+    Result<SelectPlan> plan = PlanSelect(select, view);
+    if (!plan.ok()) return plan.status().ToString();
     std::string out;
-    auto version = snap.FindVersion("pts");
-    if (version == nullptr) return out;
-    const DictionaryView& dict = *snap.dictionary();
-    std::optional<ValueId> id = dict.Find(V(key));
-    if (!id.has_value()) return out;
-    const FlatRelation hits =
-        version->relation->TuplesContainingId(0, *id).Expand();
-    for (const FlatTuple& t : hits.tuples()) {
-      if (t.at(0) == V(key)) out += t.ToString();
-    }
+    for (const FlatTuple& t : DrainPlan(*plan).rows) out += t.ToString();
     return out;
   };
+  std::vector<SelectStatement> point_selects;
+  for (int64_t key : probes) {
+    point_selects.push_back(
+        parse_select(StrCat("SELECT * FROM pts WHERE k = ", key)));
+  }
   auto oracle_lookup = [](const std::set<FlatTuple>& rows, int64_t key) {
     std::string out;
     for (const FlatTuple& t : rows) {
@@ -403,26 +412,14 @@ TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
     }
     return out;
   };
-  // And one range lookup through the same frozen dictionary, over keys
-  // the stream deletes and inserts.
+  // And one range, over keys the stream deletes and inserts.
   RangeBound keys;
   keys.lower = V(kBase - 8);
   keys.upper = V(kBase + 24);
   keys.upper_inclusive = false;
-  auto range_lookup = [&keys](const DatabaseSnapshot& snap) {
-    std::set<FlatTuple> hits;
-    auto version = snap.FindVersion("pts");
-    if (version == nullptr) return std::string();
-    const DictionaryView* dict = snap.dictionary().get();
-    const FlatRelation expanded =
-        version->relation->TuplesInRange(0, keys, dict).Expand();
-    for (const FlatTuple& t : expanded.tuples()) {
-      if (keys.Admits(t.at(0))) hits.insert(t);
-    }
-    std::string out;
-    for (const FlatTuple& t : hits) out += t.ToString();
-    return out;
-  };
+  const SelectStatement range_select =
+      parse_select(StrCat("SELECT * FROM pts WHERE k >= ", kBase - 8,
+                          " AND k < ", kBase + 24));
   auto oracle_range = [&keys](const std::set<FlatTuple>& rows) {
     std::string out;
     for (const FlatTuple& t : rows) {
@@ -431,9 +428,29 @@ TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
     return out;
   };
 
+  // And a range aggregate, whose factorized aggregate folds the
+  // narrowed tuples.
+  const SelectStatement aggregate_select = parse_select(
+      StrCat("SELECT COUNT(*), SUM(g), MIN(v), MAX(v) FROM pts WHERE k >= ",
+             kBase - 8, " AND k < ", kBase + 24));
+  auto oracle_aggregate = [&keys](const std::set<FlatTuple>& rows) {
+    int64_t count = 0, sum = 0;
+    std::set<Value> vs;
+    for (const FlatTuple& t : rows) {
+      if (!keys.Admits(t.at(0))) continue;
+      ++count;
+      sum += t.at(1).AsInt();
+      vs.insert(t.at(2));
+    }
+    if (vs.empty()) return std::string("empty range");
+    return FlatTuple({V(count), V(sum), *vs.begin(), *vs.rbegin()})
+        .ToString();
+  };
+
   struct Expected {
     std::string bytes;
     std::vector<std::string> lookups;
+    std::string aggregate;
   };
   std::mutex mu;
   std::map<uint64_t, Expected> expected;
@@ -445,6 +462,7 @@ TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
     e.bytes = SerializeSnapshot(*snap);
     for (int64_t key : probes) e.lookups.push_back(oracle_lookup(rows, key));
     e.lookups.push_back(oracle_range(rows));
+    e.aggregate = oracle_aggregate(rows);
     auto rel = snap->Relation("pts");
     const std::vector<FlatTuple> want(rows.begin(), rows.end());
     EXPECT_EQ((*rel)->Expand(), FlatRelation((*rel)->schema(), want));
@@ -460,16 +478,21 @@ TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
   std::atomic<bool> writer_done{false};
   std::atomic<int> mismatches{0};
   std::atomic<long> verified{0};
+  std::atomic<long> aggregates_verified{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, r] {
       while (!writer_done.load(std::memory_order_acquire)) {
         auto snap = (*db)->PinSnapshot();
         const std::string bytes = SerializeSnapshot(*snap);
         std::vector<std::string> lookups;
-        for (int64_t key : probes) lookups.push_back(lookup(*snap, key));
-        lookups.push_back(range_lookup(*snap));
+        for (const SelectStatement& point : point_selects) {
+          lookups.push_back(planned_rows(point, snap));
+        }
+        lookups.push_back(planned_rows(range_select, snap));
+        const std::string aggregate =
+            r == 0 ? planned_rows(aggregate_select, snap) : "";
         if (bytes != SerializeSnapshot(*snap)) {
           ++mismatches;
           continue;
@@ -481,8 +504,10 @@ TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
           if (it == expected.end()) continue;
           want = it->second;
         }
-        if (bytes == want.bytes && lookups == want.lookups) {
+        if (bytes == want.bytes && lookups == want.lookups &&
+            (r != 0 || aggregate == want.aggregate)) {
           ++verified;
+          if (r == 0) ++aggregates_verified;
         } else {
           ++mismatches;
         }
@@ -526,6 +551,7 @@ TEST_F(ConcurrencyTest, ChunkScaleSnapshotsMatchShadowOracleStates) {
 
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(verified.load(), 0);
+  EXPECT_GT(aggregates_verified.load(), 0);
   EXPECT_GT((*db)->dictionary()->size(), 2 * kBase + 64);
   ASSERT_TRUE((*db)->VerifyIntegrity().ok());
 }

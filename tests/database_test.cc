@@ -3,6 +3,8 @@
 #include <filesystem>
 
 #include "engine/database.h"
+#include "nfrql/executor.h"
+#include "nfrql/parser.h"
 #include "tests/test_util.h"
 
 namespace nf2 {
@@ -59,10 +61,13 @@ TEST_F(DatabaseTest, CreateInsertQuery) {
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->size(), 3u);
 
-  Result<FlatRelation> q =
-      (*db)->Query("students", Predicate::Eq(0, V("s1")));
+  Executor executor(db->get());
+  Result<Statement> select =
+      ParseStatement("SELECT * FROM students WHERE Student = s1");
+  ASSERT_TRUE(select.ok());
+  Result<StatementResult> q = executor.Run(*select);
   ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->size(), 2u);
+  EXPECT_EQ(q->rows.size(), 2u);
 }
 
 TEST_F(DatabaseTest, NfrIsCanonicalAndCompressed) {

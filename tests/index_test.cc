@@ -213,20 +213,6 @@ TEST(SearchModeTest2, TuplesContainingMatchesScanInBothModes) {
   EXPECT_EQ(scanned->TuplesContaining(0, V("zz")).size(), 0u);
 }
 
-TEST(SearchModeTest2, PredicateAsSingleEq) {
-  std::optional<std::pair<size_t, Value>> eq =
-      Predicate::Eq(2, V("x")).AsSingleEq();
-  ASSERT_TRUE(eq.has_value());
-  EXPECT_EQ(eq->first, 2u);
-  EXPECT_EQ(eq->second, V("x"));
-  EXPECT_FALSE(Predicate::Ne(2, V("x")).AsSingleEq().has_value());
-  EXPECT_FALSE(Predicate::And(Predicate::Eq(0, V("a")),
-                              Predicate::Eq(1, V("b")))
-                   .AsSingleEq()
-                   .has_value());
-  EXPECT_FALSE(Predicate::True().AsSingleEq().has_value());
-}
-
 TEST(SearchModeTest2, DegreeOneRelations) {
   // The degenerate degree-1 case exercises the index's universe branch.
   Schema schema = Schema::OfStrings({"A"});

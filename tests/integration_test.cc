@@ -9,6 +9,7 @@
 #include "core/nest.h"
 #include "engine/database.h"
 #include "nfrql/executor.h"
+#include "nfrql/parser.h"
 #include "tests/test_util.h"
 
 namespace nf2 {
@@ -136,10 +137,13 @@ TEST_F(IntegrationTest, MixedValueTypesEndToEnd) {
   Result<bool> has = (*db)->Contains("players", row1);
   ASSERT_TRUE(has.ok());
   EXPECT_TRUE(*has);
-  Result<FlatRelation> q = (*db)->Query(
-      "players", Predicate::Gt(2, Value::Double(9.0)));
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->size(), 2u);
+  Executor executor(db->get());
+  Result<Statement> select =
+      ParseStatement("SELECT * FROM players WHERE Score > 9.0");
+  ASSERT_TRUE(select.ok());
+  Result<StatementResult> q = executor.Run(*select);
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->rows.size(), 2u);
 }
 
 TEST_F(IntegrationTest, AutoCheckpointedWorkloadSurvivesManyReopens) {

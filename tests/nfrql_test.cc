@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <set>
 
+#include "algebra/operators.h"
 #include "nfrql/executor.h"
 #include "nfrql/lexer.h"
 #include "nfrql/parser.h"
 #include "server/session.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace nf2 {
@@ -406,13 +410,12 @@ TEST_F(ExecutorTest, ProfileRendersSpansWithTimes) {
 TEST_F(ExecutorTest, ExplainGoldenPipelineOperators) {
   Must("CREATE RELATION r (A STRING, B STRING) NEST A, B");
   Must("CREATE RELATION ct (B STRING, C STRING) NEST B, C");
-  // Equality conjuncts route through one index scan; the non-eq
-  // residue becomes a filter above it.
+  // The `=` conjunct's postings drive the one narrowing leaf; the `!=`
+  // on another attribute narrows B's component in the same leaf.
   EXPECT_EQ(Must("EXPLAIN SELECT * FROM r WHERE A = a1 AND B != b9"),
             "EXPLAIN\n"
             "select(r)\n"
-            "└─ filter(r)\n"
-            "   └─ index_scan(r: A = a1)\n");
+            "└─ index_scan(r: A = a1, B != b9)\n");
   // Factorized aggregation never expands R*: the aggregate reads the
   // NFR source directly.
   EXPECT_EQ(Must("EXPLAIN SELECT COUNT(*) FROM r"),
@@ -443,14 +446,64 @@ TEST_F(ExecutorTest, ExplainGoldenPipelineOperators) {
             "   └─ join(ct)\n"
             "      ├─ scan(r)\n"
             "      └─ scan(ct)\n");
-  // A residual (non-equality) predicate forces aggregation onto the
-  // row pipeline.
+  // A `!=` narrows its component, so the aggregate stays factorized.
   EXPECT_EQ(Must("EXPLAIN SELECT COUNT(*) FROM r WHERE A != a1"),
+            "EXPLAIN\n"
+            "select(r)\n"
+            "└─ nfr_aggregate(COUNT(*))\n"
+            "   └─ nfr_scan(r: A != a1)\n");
+  // Only a predicate relating two attributes stays a residual filter,
+  // and it forces aggregation onto the row pipeline.
+  EXPECT_EQ(Must("EXPLAIN SELECT COUNT(*) FROM r WHERE A = a1 OR B = b1"),
             "EXPLAIN\n"
             "select(r)\n"
             "└─ aggregate(COUNT(*))\n"
             "   └─ filter(r)\n"
             "      └─ scan(r)\n");
+}
+
+TEST_F(ExecutorTest, ExplainGoldenNarrowingLeaves) {
+  Must("CREATE RELATION e (K STRING, V INT, W INT)");
+  // A range aggregate bound-scans the index and folds the narrowed
+  // tuples without expanding them.
+  EXPECT_EQ(Must("EXPLAIN SELECT COUNT(*), SUM(V) FROM e "
+                 "WHERE V >= 3 AND V < 8"),
+            "EXPLAIN\n"
+            "select(e)\n"
+            "└─ nfr_aggregate(COUNT(*), SUM(V))\n"
+            "   └─ nfr_index_range_scan(e: V >= 3, V < 8)\n");
+  // A `!=` aggregate scans every tuple and narrows K.
+  EXPECT_EQ(Must("EXPLAIN SELECT K, SUM(W) FROM e WHERE K != k1 GROUP BY K"),
+            "EXPLAIN\n"
+            "select(e)\n"
+            "└─ nfr_aggregate(K: SUM(W))\n"
+            "   └─ nfr_scan(e: K != k1)\n");
+  // Two ranged attributes: the first is bound-scanned, both narrow.
+  EXPECT_EQ(Must("EXPLAIN SELECT * FROM e WHERE V > 1 AND W <= 5"),
+            "EXPLAIN\n"
+            "select(e)\n"
+            "└─ index_range_scan(e: V > 1, W <= 5)\n");
+  EXPECT_EQ(Must("EXPLAIN SELECT COUNT(*) FROM e WHERE W <= 5 AND V > 1"),
+            "EXPLAIN\n"
+            "select(e)\n"
+            "└─ nfr_aggregate(COUNT(*))\n"
+            "   └─ nfr_index_range_scan(e: W <= 5, V > 1)\n");
+  // `=` plus a range on another attribute: the postings drive.
+  EXPECT_EQ(Must("EXPLAIN SELECT COUNT(*) FROM e WHERE V < 4 AND K = k1"),
+            "EXPLAIN\n"
+            "select(e)\n"
+            "└─ nfr_aggregate(COUNT(*))\n"
+            "   └─ nfr_index_scan(e: K = k1, V < 4)\n");
+  EXPECT_EQ(Must("EXPLAIN SELECT * FROM e WHERE K = k1 AND V >= 2"),
+            "EXPLAIN\n"
+            "select(e)\n"
+            "└─ index_scan(e: K = k1, V >= 2)\n");
+  // AND/OR/NOT within one attribute narrow that attribute alone.
+  EXPECT_EQ(Must("EXPLAIN SELECT * FROM e WHERE (V = 1 OR V = 9) AND "
+                 "NOT W = 2"),
+            "EXPLAIN\n"
+            "select(e)\n"
+            "└─ scan(e: (V = 1 OR V = 9), NOT W = 2)\n");
 }
 
 TEST_F(ExecutorTest, AggregateFunctions) {
@@ -503,15 +556,22 @@ TEST_F(ExecutorTest, FactorizedAggregationMatchesRowPipeline) {
        "NEST Course, Student");
   Must("INSERT INTO sc VALUES (s1, c1), (s1, c2), (s2, c1), (s2, c2), "
        "(s3, c3)");
-  // Factorized (no residual) and row-based (the != residual forces the
-  // row pipeline) answers must agree.
+  // Factorized answers, unrestricted and narrowed by a `!=`, agree with
+  // the row pipeline, which a predicate relating two attributes forces.
   EXPECT_EQ(Must("SELECT COUNT(*) FROM sc"), "5");
   EXPECT_EQ(Must("SELECT COUNT(*) FROM sc WHERE Student != zzz"), "5");
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM sc WHERE Student != zzz OR "
+                 "Course != zzz"),
+            "5");
   std::string factorized =
       Must("SELECT Student, COUNT(Course) FROM sc GROUP BY Student");
-  std::string row_based = Must(
+  std::string narrowed = Must(
       "SELECT Student, COUNT(Course) FROM sc WHERE Course != zzz "
       "GROUP BY Student");
+  std::string row_based = Must(
+      "SELECT Student, COUNT(Course) FROM sc WHERE Course != zzz OR "
+      "Student != zzz GROUP BY Student");
+  EXPECT_EQ(factorized, narrowed);
   EXPECT_EQ(factorized, row_based);
   // The factorized source borrows the stored NFR by reference: PROFILE
   // pins that no copy was materialized for the unrestricted aggregate.
@@ -769,6 +829,261 @@ TEST_F(ExecutorTest, MetricsTextSurfacesEngineCounters) {
   EXPECT_NE(prom.find("# TYPE nf2_insert_duration_ns histogram"),
             std::string::npos);
 }
+
+// ---------------------------------------------------------------------
+// Narrowing oracle
+// ---------------------------------------------------------------------
+
+/// Random NFR relations and WHERE clauses. Every selection shape must
+/// answer as expand-then-filter, Select(rel.Expand(), pred): the paper's
+/// selection over the 1NF relation the stored NFR denotes (Theorem 1).
+/// The clauses mix the six comparisons, AND/OR/NOT within one
+/// attribute, conjunctions across attributes and, sometimes, one OR
+/// across two attributes, which stays a residual filter.
+class NarrowingOracleTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() /
+            StrCat("nf2_narrowing_oracle_", GetParam()))
+               .string();
+    std::filesystem::remove_all(dir_);
+    Database::Options options;
+    options.sync_wal = false;
+    auto db = Database::Open(dir_, options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    db_ = *std::move(db);
+    executor_ = std::make_unique<Executor>(db_.get());
+  }
+  void TearDown() override {
+    executor_.reset();
+    db_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  Result<StatementResult> Run(const std::string& query) {
+    NF2_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(query));
+    return executor_->Run(stmt);
+  }
+
+  /// A literal of attribute `attr`'s type, from its domain or one past
+  /// it; now and then of the other type.
+  Value Literal(Rng* rng, size_t attr) {
+    const int64_t v = static_cast<int64_t>(rng->NextBelow(domain_[attr] + 1));
+    const bool is_int =
+        (types_[attr] == ValueType::kInt) != rng->NextBool(0.05);
+    return is_int ? Value::Int(v) : Value::String(StrCat("s", v));
+  }
+
+  std::string Atom(Rng* rng, size_t attr) {
+    static const char* const kOps[] = {"=", "!=", "<", "<=", ">", ">="};
+    return StrCat(names_[attr], " ", kOps[rng->NextBelow(6)], " ",
+                  Literal(rng, attr).ToString());
+  }
+
+  /// One conjunct over `attr` alone.
+  std::string OneAttribute(Rng* rng, size_t attr) {
+    switch (rng->NextBelow(5)) {
+      case 0:
+        return StrCat("(", Atom(rng, attr), " OR ", Atom(rng, attr), ")");
+      case 1:
+        return StrCat("NOT ", Atom(rng, attr));
+      case 2:
+        return StrCat("NOT (", Atom(rng, attr), " OR ", Atom(rng, attr),
+                      ")");
+      default:
+        return Atom(rng, attr);
+    }
+  }
+
+  std::string RandomWhere(Rng* rng) {
+    std::vector<std::string> conjuncts;
+    const size_t n = 1 + rng->NextBelow(3);
+    for (size_t i = 0; i < n; ++i) {
+      conjuncts.push_back(OneAttribute(rng, rng->NextBelow(degree_)));
+    }
+    if (rng->NextBool(0.25)) {
+      const size_t a = rng->NextBelow(degree_);
+      const size_t b = (a + 1 + rng->NextBelow(degree_ - 1)) % degree_;
+      conjuncts.insert(conjuncts.begin() + rng->NextBelow(n + 1),
+                       StrCat("(", Atom(rng, a), " OR ", Atom(rng, b), ")"));
+    }
+    return Join(conjuncts, " AND ");
+  }
+
+  FlatTuple RandomRow(Rng* rng) {
+    std::vector<Value> row;
+    for (size_t a = 0; a < degree_; ++a) {
+      const int64_t v = static_cast<int64_t>(rng->NextBelow(domain_[a]));
+      row.push_back(types_[a] == ValueType::kInt
+                        ? Value::Int(v)
+                        : Value::String(StrCat("s", v)));
+    }
+    return FlatTuple(std::move(row));
+  }
+
+  size_t degree_ = 0;
+  std::vector<std::string> names_;
+  std::vector<ValueType> types_;
+  std::vector<uint64_t> domain_;
+  std::string dir_;
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<Executor> executor_;
+};
+
+/// COUNT(*), SUM(sum_attr), MIN/MAX/COUNT(attr) of `rows`, as the
+/// executor renders them (MIN/MAX of nothing is NULL).
+FlatTuple ExpectedAggregates(const std::vector<FlatTuple>& rows,
+                             size_t sum_attr, size_t attr) {
+  int64_t sum = 0;
+  std::set<Value> distinct;
+  for (const FlatTuple& r : rows) {
+    sum += r.at(sum_attr).AsInt();
+    distinct.insert(r.at(attr));
+  }
+  return FlatTuple(
+      {Value::Int(static_cast<int64_t>(rows.size())), Value::Int(sum),
+       distinct.empty() ? Value::Null() : *distinct.begin(),
+       distinct.empty() ? Value::Null() : *distinct.rbegin(),
+       Value::Int(static_cast<int64_t>(distinct.size()))});
+}
+
+TEST_P(NarrowingOracleTest, EveryShapeAnswersAsExpandThenFilter) {
+  Rng rng(GetParam() * 2654435761u + 17);
+  degree_ = 3 + rng.NextBelow(2);
+  // Attribute 0 is an INT (for SUM), attribute 1 a STRING.
+  std::vector<std::string> decls;
+  for (size_t a = 0; a < degree_; ++a) {
+    names_.push_back(StrCat("A", a));
+    types_.push_back(a == 0 || (a > 1 && rng.NextBool())
+                         ? ValueType::kInt
+                         : ValueType::kString);
+    domain_.push_back(2 + rng.NextBelow(3));
+    decls.push_back(StrCat(names_[a], " ",
+                           types_[a] == ValueType::kInt ? "INT" : "STRING"));
+  }
+  std::vector<std::string> order = names_;
+  rng.Shuffle(&order);
+  ASSERT_TRUE(Run(StrCat("CREATE RELATION t (", Join(decls, ", "),
+                         ") NEST ", Join(order, ", ")))
+                  .ok());
+  Result<const RelationInfo*> info = db_->Info("t");
+  ASSERT_TRUE(info.ok());
+  const Schema& schema = (*info)->schema;
+  FlatRelation flat(schema);
+  uint64_t combos = 1;
+  for (uint64_t d : domain_) combos *= d;
+
+  for (int round = 0; round < 8; ++round) {
+    // Top the relation up so it stays dense enough to nest.
+    while (flat.size() < combos * 3 / 5) {
+      FlatTuple row = RandomRow(&rng);
+      if (flat.Insert(row)) {
+        ASSERT_TRUE(db_->Insert("t", row).ok());
+      }
+    }
+    Result<const NfrRelation*> stored = db_->Relation("t");
+    ASSERT_TRUE(stored.ok());
+    ASSERT_EQ((*stored)->Expand(), flat);
+    // Multi-valued components: what narrowing has to get right.
+    ASSERT_LT((*stored)->size(), flat.size());
+
+    const std::string where = RandomWhere(&rng);
+    SCOPED_TRACE(where);
+    Result<Statement> parsed =
+        ParseStatement(StrCat("SELECT * FROM t WHERE ", where));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    Result<Predicate> pred =
+        ResolveCondition(*std::get<SelectStatement>(*parsed).where, schema);
+    ASSERT_TRUE(pred.ok()) << pred.status();
+    const FlatRelation want = Select(flat, *pred);
+
+    const size_t attr = rng.NextBelow(degree_);
+    const size_t group = rng.NextBelow(degree_);
+    const uint64_t limit = 1 + rng.NextBelow(4);
+    for (bool snapshot : {false, true}) {
+      SCOPED_TRACE(snapshot ? "snapshot" : "live");
+      if (snapshot) executor_->BindSnapshot(db_->PinSnapshot());
+      Result<StatementResult> all =
+          Run(StrCat("SELECT * FROM t WHERE ", where));
+      ASSERT_TRUE(all.ok()) << all.status();
+      EXPECT_EQ(FlatRelation(schema, all->rows), want);
+      EXPECT_EQ(all->rows.size(), want.size());
+
+      Result<StatementResult> limited =
+          Run(StrCat("SELECT * FROM t WHERE ", where, " LIMIT ", limit));
+      ASSERT_TRUE(limited.ok()) << limited.status();
+      EXPECT_EQ(limited->rows.size(), std::min<size_t>(limit, want.size()));
+      for (const FlatTuple& row : limited->rows) {
+        EXPECT_TRUE(want.Contains(row)) << row.ToString();
+      }
+
+      const std::string& a = names_[attr];
+      Result<StatementResult> aggs =
+          Run(StrCat("SELECT COUNT(*), SUM(A0), MIN(", a, "), MAX(", a,
+                     "), COUNT(", a, ") FROM t WHERE ", where));
+      ASSERT_TRUE(aggs.ok()) << aggs.status();
+      ASSERT_EQ(aggs->rows.size(), 1u);
+      EXPECT_EQ(aggs->rows[0], ExpectedAggregates(want.tuples(), 0, attr));
+
+      const std::string& g = names_[group];
+      Result<StatementResult> grouped =
+          Run(StrCat("SELECT ", g, ", COUNT(*), SUM(A0), MIN(", a, "), MAX(",
+                     a, "), COUNT(", a, ") FROM t WHERE ", where,
+                     " GROUP BY ", g));
+      ASSERT_TRUE(grouped.ok()) << grouped.status();
+      std::map<Value, std::vector<FlatTuple>> groups;
+      for (const FlatTuple& row : want.tuples()) {
+        groups[row.at(group)].push_back(row);
+      }
+      std::vector<FlatTuple> want_grouped;
+      for (const auto& [key, rows] : groups) {
+        std::vector<Value> line{key};
+        const FlatTuple aggregates = ExpectedAggregates(rows, 0, attr);
+        for (const Value& v : aggregates.values()) line.push_back(v);
+        want_grouped.push_back(FlatTuple(std::move(line)));
+      }
+      EXPECT_EQ(grouped->rows, want_grouped);
+      executor_->ClearSnapshot();
+    }
+
+    if (round % 2 == 0) {
+      Result<StatementResult> deleted =
+          Run(StrCat("DELETE FROM t WHERE ", where));
+      ASSERT_TRUE(deleted.ok()) << deleted.status();
+      EXPECT_EQ(deleted->count, want.size());
+      for (const FlatTuple& row : want.tuples()) flat.Erase(row);
+    } else {
+      const size_t set = rng.NextBelow(degree_);
+      Value literal = Literal(&rng, set);
+      while ((literal.type() == ValueType::kInt) !=
+             (types_[set] == ValueType::kInt)) {
+        literal = Literal(&rng, set);
+      }
+      Result<StatementResult> updated =
+          Run(StrCat("UPDATE t SET ", names_[set], " = ", literal.ToString(),
+                     " WHERE ", where));
+      ASSERT_TRUE(updated.ok()) << updated.status();
+      uint64_t changed = 0;
+      std::vector<FlatTuple> rewritten;
+      for (const FlatTuple& row : want.tuples()) {
+        FlatTuple next = row;
+        next.at(set) = literal;
+        if (next == row) continue;
+        ++changed;
+        flat.Erase(row);
+        rewritten.push_back(std::move(next));
+      }
+      for (FlatTuple& row : rewritten) flat.Insert(std::move(row));
+      EXPECT_EQ(updated->count, changed);
+    }
+    stored = db_->Relation("t");
+    ASSERT_TRUE(stored.ok());
+    ASSERT_EQ((*stored)->Expand(), flat);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NarrowingOracleTest,
+                         ::testing::Range<uint64_t>(0, 40));
 
 }  // namespace
 }  // namespace nf2

@@ -189,6 +189,18 @@ std::vector<std::string> OracleBattery() {
       "SELECT G, SUM(V) FROM r GROUP BY G ORDER BY SUM(V) DESC LIMIT 2");
   s.push_back("SELECT G, COUNT(G), COUNT(K) FROM r WHERE V > 3 GROUP BY G");
   s.push_back("SELECT MIN(G), MAX(V) FROM r WHERE G = g2");
+  // Range aggregates over narrowed per-shard leaves: alone, empty,
+  // with GROUP BY, and with `!=`.
+  s.push_back("SELECT COUNT(*), SUM(V) FROM r WHERE V >= 4 AND V < 14");
+  s.push_back("SELECT COUNT(*), SUM(V), MIN(K) FROM r WHERE V > 91");
+  s.push_back(
+      "SELECT G, COUNT(*), SUM(V) FROM r WHERE V >= 4 AND V < 14 GROUP BY G");
+  s.push_back(
+      "SELECT G, COUNT(K), MIN(V), MAX(V) FROM r WHERE V > 2 AND G != g0 "
+      "GROUP BY G");
+  s.push_back(
+      "SELECT COUNT(*), SUM(V), MAX(K) FROM r WHERE V <= 13 AND K != k3");
+  s.push_back("SELECT COUNT(*), SUM(V) FROM r WHERE G != g1");
   // Mutations: point, scatter, and VALUES form.
   s.push_back("UPDATE r SET V = 100 WHERE K = k5");
   s.push_back("UPDATE r SET G = g9 WHERE V = 100");
