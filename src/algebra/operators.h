@@ -50,15 +50,17 @@ Result<FlatRelation> Rename(const FlatRelation& rel, const std::string& from,
 // reference [7] defines and the paper builds on).
 // ---------------------------------------------------------------------
 
-/// Tuple-level selection: keeps the NFR tuples whose expansion contains
-/// at least one simple tuple satisfying `pred` (exact via per-attribute
-/// existence for single-attribute leaves, see Predicate::EvalNfrAny).
+/// Tuple-level selection: keeps the NFR tuples Predicate::EvalNfrAny
+/// admits — every tuple whose expansion contains a simple tuple
+/// satisfying `pred`, plus, when an AND relates two comparisons on one
+/// attribute, possibly tuples whose expansion contains none.
 NfrRelation SelectNfrTuples(const NfrRelation& rel, const Predicate& pred);
 
-/// Exact selection: the NFR denoting sigma_p(R*). Components are
-/// restricted/split as needed; the result is returned as singleton
-/// tuples of the matching expansion (re-nest with CanonicalForm for a
-/// compact result).
+/// Exact selection: the NFR denoting sigma_p(R*). EvalNfrAny
+/// pre-filters the tuples (it never drops a matching one), and each
+/// survivor's expansion is tested row by row; the result is returned as
+/// singleton tuples of the matching expansion (re-nest with
+/// CanonicalForm for a compact result).
 NfrRelation SelectNfrExact(const NfrRelation& rel, const Predicate& pred);
 
 /// One GROUP BY result row: a grouping value and the number of

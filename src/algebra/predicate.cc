@@ -44,6 +44,25 @@ bool ApplyOp(CompareOp op, const Value& lhs, const Value& rhs) {
   }
   return false;
 }
+
+/// The comparison that holds exactly when `op` does not.
+CompareOp Negate(CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq:
+      return CompareOp::kNe;
+    case CompareOp::kNe:
+      return CompareOp::kEq;
+    case CompareOp::kLt:
+      return CompareOp::kGe;
+    case CompareOp::kLe:
+      return CompareOp::kGt;
+    case CompareOp::kGt:
+      return CompareOp::kLe;
+    case CompareOp::kGe:
+      return CompareOp::kLt;
+  }
+  return op;
+}
 }  // namespace
 
 struct Predicate::Node {
@@ -115,30 +134,40 @@ bool Predicate::EvalFlat(const FlatTuple& t) const {
 }
 
 bool Predicate::EvalNfrAny(const NfrTuple& t) const {
+  // NOT is pushed down to the leaves (De Morgan, and `NOT A < v` is
+  // `A >= v`), so every leaf asks "does some value satisfy it" of the
+  // comparison a row would actually face. Negating an existential leaf
+  // instead would ask "does no value satisfy it", which rejects a
+  // tuple as soon as one of its values fails the comparison.
   struct Impl {
-    static bool Eval(const Node* node, const NfrTuple& t) {
+    static bool Eval(const Node* node, const NfrTuple& t, bool negated) {
       switch (node->kind) {
         case NodeKind::kTrue:
-          return true;
+          return !negated;
         case NodeKind::kCompare: {
           NF2_CHECK(node->attr < t.degree())
               << "predicate attribute out of range";
+          const CompareOp op = negated ? Negate(node->op) : node->op;
           for (const Value& v : t.at(node->attr).values()) {
-            if (ApplyOp(node->op, v, node->value)) return true;
+            if (ApplyOp(op, v, node->value)) return true;
           }
           return false;
         }
         case NodeKind::kAnd:
-          return Eval(node->left.get(), t) && Eval(node->right.get(), t);
         case NodeKind::kOr:
-          return Eval(node->left.get(), t) || Eval(node->right.get(), t);
+          if ((node->kind == NodeKind::kAnd) != negated) {
+            return Eval(node->left.get(), t, negated) &&
+                   Eval(node->right.get(), t, negated);
+          }
+          return Eval(node->left.get(), t, negated) ||
+                 Eval(node->right.get(), t, negated);
         case NodeKind::kNot:
-          return !Eval(node->left.get(), t);
+          return Eval(node->left.get(), t, !negated);
       }
       return false;
     }
   };
-  return Impl::Eval(node_.get(), t);
+  return Impl::Eval(node_.get(), t, /*negated=*/false);
 }
 
 bool Predicate::MatchesExpansion(const NfrTuple& t) const {

@@ -21,13 +21,16 @@ const char* CompareOpToString(CompareOp op);
 ///
 /// Evaluation has two semantics:
 ///  - EvalFlat: ordinary 1NF evaluation.
-///  - EvalNfrAny: true when SOME simple tuple in the NFR tuple's
-///    expansion satisfies the predicate. This is exact for predicates
-///    whose leaves touch pairwise-distinct attributes combined with
-///    AND/OR (the expansion is a cross product, so per-attribute
-///    existence is independent), and for any predicate under NOT-free
-///    single-attribute use. For arbitrary predicates use
-///    MatchesExpansion, which tests the expansion exactly.
+///  - EvalNfrAny: an over-approximation of "SOME simple tuple in the
+///    NFR tuple's expansion satisfies the predicate" — never false when
+///    one does. NOT is pushed down to the comparisons (De Morgan, and
+///    `NOT A < v` is `A >= v`); each comparison then holds when some
+///    value of its component satisfies it. The answer is exact when
+///    every AND joins sub-predicates over disjoint attributes (the
+///    expansion is a cross product, so per-attribute existence is
+///    independent); `A = a1 AND A = a2` on A = {a1, a2} answers true
+///    although no row satisfies it. MatchesExpansion tests the
+///    expansion exactly.
 class Predicate {
  public:
   /// Leaf: attribute `attr` compared against `value`.
@@ -62,7 +65,8 @@ class Predicate {
   /// 1NF evaluation.
   bool EvalFlat(const FlatTuple& t) const;
 
-  /// Existential NFR evaluation (see class comment for exactness).
+  /// Existential NFR evaluation, an over-approximation (see class
+  /// comment for when it is exact).
   bool EvalNfrAny(const NfrTuple& t) const;
 
   /// Exact existential check by expanding `t`. Exponential in the

@@ -6,55 +6,13 @@
 
 namespace nf2 {
 
-NfrIndex::NfrIndex(size_t degree) : degree_(degree), postings_(degree) {}
-
 NfrIndex::NfrIndex(size_t degree,
                    std::shared_ptr<const ValueDictionary> dict)
     : degree_(degree), dict_(std::move(dict)), postings_by_id_(degree) {
-  NF2_CHECK(dict_ != nullptr) << "id-keyed NfrIndex needs a dictionary";
-}
-
-void NfrIndex::AddTuple(size_t tuple_id, const NfrTuple& t) {
-  NF2_CHECK(!interned()) << "Value-keyed mutation on an id-keyed index";
-  NF2_CHECK(t.degree() == degree_);
-  for (size_t attr = 0; attr < degree_; ++attr) {
-    for (const Value& v : t.at(attr).values()) {
-      std::vector<size_t>& ids = postings_[attr][v];
-      auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
-      NF2_DCHECK(it == ids.end() || *it != tuple_id);
-      ids.insert(it, tuple_id);
-    }
-  }
-}
-
-void NfrIndex::RemoveTuple(size_t tuple_id, const NfrTuple& t) {
-  NF2_CHECK(!interned()) << "Value-keyed mutation on an id-keyed index";
-  NF2_CHECK(t.degree() == degree_);
-  for (size_t attr = 0; attr < degree_; ++attr) {
-    for (const Value& v : t.at(attr).values()) {
-      auto map_it = postings_[attr].find(v);
-      NF2_CHECK(map_it != postings_[attr].end())
-          << "index missing value " << v.ToString();
-      std::vector<size_t>& ids = map_it->second;
-      auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
-      NF2_CHECK(it != ids.end() && *it == tuple_id)
-          << "index missing id for " << v.ToString();
-      ids.erase(it);
-      if (ids.empty()) {
-        postings_[attr].erase(map_it);
-      }
-    }
-  }
-}
-
-void NfrIndex::MoveTuple(size_t from_id, size_t to_id, const NfrTuple& t) {
-  if (from_id == to_id) return;
-  RemoveTuple(from_id, t);
-  AddTuple(to_id, t);
+  NF2_CHECK(dict_ != nullptr) << "NfrIndex needs a dictionary";
 }
 
 void NfrIndex::AddEncoded(size_t tuple_id, const EncodedTuple& t) {
-  NF2_CHECK(interned()) << "id-keyed mutation on a Value-keyed index";
   NF2_CHECK(t.size() == degree_);
   for (size_t attr = 0; attr < degree_; ++attr) {
     CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
@@ -69,7 +27,6 @@ void NfrIndex::AddEncoded(size_t tuple_id, const EncodedTuple& t) {
 }
 
 void NfrIndex::RemoveEncoded(size_t tuple_id, const EncodedTuple& t) {
-  NF2_CHECK(interned()) << "id-keyed mutation on a Value-keyed index";
   NF2_CHECK(t.size() == degree_);
   for (size_t attr = 0; attr < degree_; ++attr) {
     CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
@@ -87,8 +44,7 @@ void NfrIndex::RemoveEncoded(size_t tuple_id, const EncodedTuple& t) {
       }
     }
     // Reclaim trailing empty slots. Interior empties must stay (their
-    // ValueIds may return), but the tail can always shrink — the
-    // value-keyed path erases empty map entries for the same reason.
+    // ValueIds may return), but the tail can always shrink.
     slots.TrimDefaults();
   }
 }
@@ -103,18 +59,13 @@ void NfrIndex::MoveEncoded(size_t from_id, size_t to_id,
 const std::vector<size_t>* NfrIndex::Postings(size_t attr,
                                               const Value& v) const {
   NF2_CHECK(attr < degree_);
-  if (interned()) {
-    std::optional<ValueId> id = dict_->Find(v);
-    if (!id.has_value()) return nullptr;
-    return PostingsById(attr, *id);
-  }
-  auto it = postings_[attr].find(v);
-  return it == postings_[attr].end() ? nullptr : &it->second;
+  std::optional<ValueId> id = dict_->Find(v);
+  if (!id.has_value()) return nullptr;
+  return PostingsById(attr, *id);
 }
 
 const std::vector<size_t>* NfrIndex::PostingsById(size_t attr,
                                                   ValueId id) const {
-  NF2_CHECK(interned());
   NF2_CHECK(attr < degree_);
   const CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
   if (id >= slots.size() || slots[id].empty()) return nullptr;
@@ -132,53 +83,19 @@ std::vector<size_t> IntersectSorted(const std::vector<size_t>& a,
 std::vector<size_t> NfrIndex::ContainingInRange(
     size_t attr, const RangeBound& bound, const DictionaryView* values) const {
   NF2_CHECK(attr < degree_);
+  // Id-keyed slots carry no value order. Every value is compared once,
+  // in id order, which a rank table could not beat: handing out the ids
+  // in value order is itself a pass over all of them.
+  if (values == nullptr) values = dict_.get();
   std::vector<size_t> out;
-  if (!interned()) {
-    // Bound-scan the sorted postings map: seek to the lower bound, walk
-    // forward until past the upper bound.
-    const std::map<Value, std::vector<size_t>>& per_attr = postings_[attr];
-    auto it = per_attr.begin();
-    if (bound.lower.has_value()) {
-      it = bound.lower_inclusive ? per_attr.lower_bound(*bound.lower)
-                                 : per_attr.upper_bound(*bound.lower);
-    }
-    for (; it != per_attr.end(); ++it) {
-      if (bound.upper.has_value()) {
-        if (bound.upper_inclusive ? *bound.upper < it->first
-                                  : !(it->first < *bound.upper)) {
-          break;
-        }
-      }
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-  } else {
-    // Id-keyed slots carry no value order. Every value is compared once,
-    // in id order, which a rank table could not beat: handing out the
-    // ids in value order is itself a pass over all of them.
-    if (values == nullptr) values = dict_.get();
-    const CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
-    const size_t ids = std::min<size_t>(slots.size(), values->size());
-    for (ValueId id = 0; id < ids; ++id) {
-      if (slots[id].empty() || !bound.Admits(values->value(id))) continue;
-      out.insert(out.end(), slots[id].begin(), slots[id].end());
-    }
+  const CowVector<std::vector<size_t>>& slots = postings_by_id_[attr];
+  const size_t ids = std::min<size_t>(slots.size(), values->size());
+  for (ValueId id = 0; id < ids; ++id) {
+    if (slots[id].empty() || !bound.Admits(values->value(id))) continue;
+    out.insert(out.end(), slots[id].begin(), slots[id].end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<size_t> NfrIndex::ContainingAll(size_t attr,
-                                            const ValueSet& values) const {
-  NF2_CHECK(!values.empty());
-  const std::vector<size_t>* first = Postings(attr, values[0]);
-  if (first == nullptr) return {};
-  std::vector<size_t> out = *first;
-  for (size_t i = 1; i < values.size() && !out.empty(); ++i) {
-    const std::vector<size_t>* next = Postings(attr, values[i]);
-    if (next == nullptr) return {};
-    out = IntersectSorted(out, *next);
-  }
   return out;
 }
 
@@ -192,15 +109,6 @@ std::vector<size_t> NfrIndex::ContainingAllIds(size_t attr,
     const std::vector<size_t>* next = PostingsById(attr, ids[i]);
     if (next == nullptr) return {};
     out = IntersectSorted(out, *next);
-  }
-  return out;
-}
-
-std::vector<size_t> NfrIndex::ContainingTuple(const NfrTuple& t) const {
-  NF2_CHECK(t.degree() == degree_);
-  std::vector<size_t> out = ContainingAll(0, t.at(0));
-  for (size_t attr = 1; attr < degree_ && !out.empty(); ++attr) {
-    out = IntersectSorted(out, ContainingAll(attr, t.at(attr)));
   }
   return out;
 }
@@ -224,16 +132,8 @@ size_t NfrIndex::slot_count() const {
 
 size_t NfrIndex::entry_count() const {
   size_t total = 0;
-  if (interned()) {
-    for (const auto& per_attr : postings_by_id_) {
-      for (const auto& ids : per_attr) {
-        total += ids.size();
-      }
-    }
-    return total;
-  }
-  for (const auto& per_attr : postings_) {
-    for (const auto& [value, ids] : per_attr) {
+  for (const auto& per_attr : postings_by_id_) {
+    for (const auto& ids : per_attr) {
       total += ids.size();
     }
   }

@@ -70,9 +70,10 @@ bool AgreesExceptEncoded(const EncodedTuple& a, const EncodedTuple& b,
 }
 
 /// One NestOn stage in id space: group tuples that agree on every
-/// component except `attr` (integer hash + integer equality), union the
-/// attr ids within each group. Same loop structure as the Value path,
-/// so the output tuple order is identical.
+/// component except `attr` (integer hash + integer equality), then
+/// union the attr ids within each group. This is exactly the closure of
+/// Definition 1 compositions over `attr`; Theorem 2 guarantees the
+/// pairwise order is irrelevant.
 std::vector<EncodedTuple> NestEncodedOn(std::vector<EncodedTuple> tuples,
                                         size_t attr) {
   std::unordered_map<size_t, std::vector<size_t>> buckets;
@@ -119,34 +120,6 @@ NfrRelation NestOn(const NfrRelation& r, size_t attr) {
   }
   return DecodeRelation(r.schema(), dict,
                         NestEncodedOn(std::move(encoded), attr));
-}
-
-NfrRelation NestOnLegacy(const NfrRelation& r, size_t attr) {
-  NF2_CHECK(attr < r.degree()) << "NestOn attribute out of range";
-  // Group tuples that agree on every component except `attr`, then union
-  // the attr-components within each group. This is exactly the closure
-  // of Definition 1 compositions over `attr`; Theorem 2 guarantees the
-  // pairwise order is irrelevant.
-  std::unordered_map<size_t, std::vector<size_t>> buckets;
-  std::vector<NfrTuple> merged;
-  merged.reserve(r.size());
-  for (const NfrTuple& t : r.tuples()) {
-    size_t h = t.HashExcept(attr);
-    auto& bucket = buckets[h];
-    bool joined = false;
-    for (size_t idx : bucket) {
-      if (merged[idx].AgreesExcept(t, attr)) {
-        merged[idx].at(attr) = merged[idx].at(attr).Union(t.at(attr));
-        joined = true;
-        break;
-      }
-    }
-    if (!joined) {
-      bucket.push_back(merged.size());
-      merged.push_back(t);
-    }
-  }
-  return NfrRelation(r.schema(), std::move(merged));
 }
 
 NfrRelation RandomizedNestOn(const NfrRelation& r, size_t attr, Rng* rng) {
@@ -213,21 +186,6 @@ NfrRelation CanonicalForm(const FlatRelation& r, const Permutation& perm) {
     encoded = NestEncodedOn(std::move(encoded), attr);
   }
   return DecodeRelation(r.schema(), dict, std::move(encoded));
-}
-
-NfrRelation NestSequenceLegacy(const NfrRelation& r, const Permutation& perm) {
-  NF2_CHECK(IsValidPermutation(perm, r.degree()))
-      << "NestSequence: invalid permutation";
-  NfrRelation out = r;
-  for (size_t attr : perm) {
-    out = NestOnLegacy(out, attr);
-  }
-  return out;
-}
-
-NfrRelation CanonicalFormLegacy(const FlatRelation& r,
-                                const Permutation& perm) {
-  return NestSequenceLegacy(NfrRelation::FromFlat(r), perm);
 }
 
 NfrRelation UnnestOn(const NfrRelation& r, size_t attr) {

@@ -42,11 +42,6 @@ std::vector<Permutation> AllPermutations(size_t degree);
 /// integers instead of variant payloads.
 NfrRelation NestOn(const NfrRelation& r, size_t attr);
 
-/// The pre-interning Value-path implementation of NestOn, kept verbatim
-/// as the comparison control for the perf-trajectory bench and as a
-/// correctness oracle (NestOnLegacy == NestOn on every input).
-NfrRelation NestOnLegacy(const NfrRelation& r, size_t attr);
-
 /// Definition 4 implemented literally as successive pairwise
 /// compositions in a random order. Exists to test Theorem 2: for every
 /// seed, RandomizedNestOn == NestOn. Quadratic; test-sized inputs only.
@@ -61,12 +56,6 @@ NfrRelation NestSequence(const NfrRelation& r, const Permutation& perm);
 /// the flat tuples straight into id space (no intermediate singleton
 /// NFR) and nests there.
 NfrRelation CanonicalForm(const FlatRelation& r, const Permutation& perm);
-
-/// Value-path controls mirroring NestSequence / CanonicalForm (see
-/// NestOnLegacy).
-NfrRelation NestSequenceLegacy(const NfrRelation& r, const Permutation& perm);
-NfrRelation CanonicalFormLegacy(const FlatRelation& r,
-                                const Permutation& perm);
 
 /// Algebraic unnest on one attribute: splits every tuple's `attr`
 /// component into singletons (the inverse of NestOn up to re-nesting).

@@ -190,12 +190,6 @@ bool NfrRelation::EquivalentTo(const NfrRelation& other) const {
   return Expand() == other.Expand();
 }
 
-void NfrRelation::SortTuples() {
-  std::vector<NfrTuple> sorted(tuples_.begin(), tuples_.end());
-  std::sort(sorted.begin(), sorted.end());
-  tuples_ = CowVector<NfrTuple>(std::move(sorted));
-}
-
 std::string NfrRelation::ToString() const {
   std::string out = StrCat("NfrRelation", schema_.ToString(), " {",
                            tuples_.size(), " tuples}\n");

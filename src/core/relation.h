@@ -130,10 +130,6 @@ class NfrRelation {
   /// "information equivalence" in the paper's sense.
   bool EquivalentTo(const NfrRelation& other) const;
 
-  /// Sorts tuples into canonical (lexicographic) order, for printing and
-  /// deterministic iteration.
-  void SortTuples();
-
   /// Paper-style listing, one tuple per line.
   std::string ToString() const;
 

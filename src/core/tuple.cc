@@ -153,15 +153,6 @@ size_t NfrTuple::Hash() const {
   return seed;
 }
 
-size_t NfrTuple::HashExcept(size_t skip) const {
-  size_t seed = 0x9e57;
-  for (size_t i = 0; i < components_.size(); ++i) {
-    if (i == skip) continue;
-    seed = HashCombine(seed, components_[i].Hash());
-  }
-  return seed;
-}
-
 std::string NfrTuple::ToString(const Schema& schema) const {
   std::vector<std::string> parts;
   parts.reserve(components_.size());

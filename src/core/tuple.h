@@ -105,13 +105,6 @@ class NfrTuple {
 
   size_t Hash() const;
 
-  /// Hash of all components except position `skip` — the NestOn
-  /// grouping key; pass degree() or larger to hash every component.
-  /// Its interned twin is HashEncodedTupleExcept (core/value_dictionary),
-  /// which mixes IdSet hashes with the same seed so both grouping paths
-  /// bucket identically shaped inputs the same way.
-  size_t HashExcept(size_t skip) const;
-
   /// Paper-style rendering with attribute names:
   /// "[Student(s2,s3) Course(c1,c2)]". Without a schema, positions are
   /// rendered as E1..En.

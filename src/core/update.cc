@@ -79,80 +79,57 @@ std::string UpdateStats::ToString() const {
 }
 
 CanonicalRelation::CanonicalRelation(Schema schema, Permutation order,
-                                     SearchMode mode, Encoding encoding,
+                                     SearchMode mode,
                                      std::shared_ptr<ValueDictionary> dict)
     : relation_(std::move(schema)),
       order_(std::move(order)),
       mode_(mode),
-      encoding_(encoding) {
+      dict_(dict != nullptr ? std::move(dict)
+                            : std::make_shared<ValueDictionary>()) {
   NF2_CHECK(IsValidPermutation(order_, relation_.schema().degree()))
       << "CanonicalRelation: invalid nest order";
-  if (encoding_ == Encoding::kInterned) {
-    dict_ = dict != nullptr ? std::move(dict)
-                            : std::make_shared<ValueDictionary>();
-  } else {
-    NF2_CHECK(dict == nullptr)
-        << "a dictionary requires Encoding::kInterned";
-  }
   if (mode_ == SearchMode::kIndexed) {
-    if (encoding_ == Encoding::kInterned) {
-      index_.emplace(relation_.schema().degree(), dict_);
-    } else {
-      index_.emplace(relation_.schema().degree());
-    }
+    index_.emplace(relation_.schema().degree(), dict_);
   }
 }
 
 Result<CanonicalRelation> CanonicalRelation::FromFlat(
     const FlatRelation& flat, Permutation order, SearchMode mode,
-    Encoding encoding, std::shared_ptr<ValueDictionary> dict) {
+    std::shared_ptr<ValueDictionary> dict) {
   if (!IsValidPermutation(order, flat.degree())) {
     return Status::InvalidArgument(
         "nest order is not a permutation of the schema positions");
   }
-  CanonicalRelation out(flat.schema(), std::move(order), mode, encoding,
+  CanonicalRelation out(flat.schema(), std::move(order), mode,
                         std::move(dict));
-  NfrRelation canonical = encoding == Encoding::kValue
-                              ? CanonicalFormLegacy(flat, out.order_)
-                              : CanonicalForm(flat, out.order_);
+  NfrRelation canonical = CanonicalForm(flat, out.order_);
   for (const NfrTuple& t : canonical.tuples()) {
-    out.AddTuple(t);
+    out.AppendTuple(t);
   }
   return out;
 }
 
-void CanonicalRelation::AddTuple(NfrTuple t) {
-  if (dict_ != nullptr) {
-    EncodedTuple encoded = InternTuple(dict_.get(), t);
-    if (index_.has_value()) {
-      index_->AddEncoded(relation_.size(), encoded);
-    }
-    encoded_.push_back(std::move(encoded));
-  } else if (index_.has_value()) {
-    index_->AddTuple(relation_.size(), t);
+void CanonicalRelation::AppendTuple(NfrTuple t) {
+  EncodedTuple encoded = InternTuple(dict_.get(), t);
+  if (index_.has_value()) {
+    index_->AddEncoded(relation_.size(), encoded);
   }
+  encoded_.push_back(std::move(encoded));
   relation_.Add(std::move(t));
 }
 
 NfrTuple CanonicalRelation::TakeTupleAt(size_t index) {
   NfrTuple out = relation_.tuple(index);
   size_t last = relation_.size() - 1;
-  if (dict_ != nullptr) {
-    if (index_.has_value()) {
-      index_->RemoveEncoded(index, encoded_[index]);
-      // NfrRelation::RemoveAt swap-removes: the last tuple moves into
-      // `index`.
-      if (index != last) {
-        index_->MoveEncoded(last, index, encoded_[last]);
-      }
-    }
-    encoded_.SwapRemove(index);
-  } else if (index_.has_value()) {
-    index_->RemoveTuple(index, out);
+  if (index_.has_value()) {
+    index_->RemoveEncoded(index, encoded_[index]);
+    // NfrRelation::RemoveAt swap-removes: the last tuple moves into
+    // `index`.
     if (index != last) {
-      index_->MoveTuple(last, index, relation_.tuple(last));
+      index_->MoveEncoded(last, index, encoded_[last]);
     }
   }
+  encoded_.SwapRemove(index);
   relation_.RemoveAt(index);
   return out;
 }
@@ -170,34 +147,26 @@ std::optional<EncodedTuple> CanonicalRelation::TryEncodeFlat(
 }
 
 size_t CanonicalRelation::FindContainingTuple(const FlatTuple& t) const {
-  if (dict_ != nullptr) {
-    std::optional<EncodedTuple> probe = TryEncodeFlat(t);
-    if (!probe.has_value()) return relation_.size();  // Unseen value.
-    if (index_.has_value()) {
-      std::vector<size_t> ids = index_->ContainingEncoded(*probe);
-      NF2_DCHECK(ids.size() <= 1) << "disjoint-expansion invariant broken";
-      return ids.empty() ? relation_.size() : ids.front();
-    }
-    // Scan over the encoded mirror: an NFR tuple contains the simple
-    // tuple iff every component holds the corresponding id.
-    for (size_t i = 0; i < encoded_.size(); ++i) {
-      bool contains = true;
-      for (size_t attr = 0; attr < t.degree(); ++attr) {
-        if (!encoded_[i][attr].Contains((*probe)[attr].single())) {
-          contains = false;
-          break;
-        }
-      }
-      if (contains) return i;
-    }
-    return relation_.size();
-  }
+  std::optional<EncodedTuple> probe = TryEncodeFlat(t);
+  if (!probe.has_value()) return relation_.size();  // Unseen value.
   if (index_.has_value()) {
-    std::vector<size_t> ids = index_->ContainingTuple(NfrTuple::FromFlat(t));
+    std::vector<size_t> ids = index_->ContainingEncoded(*probe);
     NF2_DCHECK(ids.size() <= 1) << "disjoint-expansion invariant broken";
     return ids.empty() ? relation_.size() : ids.front();
   }
-  return relation_.FindContaining(t);
+  // Scan over the encoded mirror: an NFR tuple contains the simple
+  // tuple iff every component holds the corresponding id.
+  for (size_t i = 0; i < encoded_.size(); ++i) {
+    bool contains = true;
+    for (size_t attr = 0; attr < t.degree(); ++attr) {
+      if (!encoded_[i][attr].Contains((*probe)[attr].single())) {
+        contains = false;
+        break;
+      }
+    }
+    if (contains) return i;
+  }
+  return relation_.size();
 }
 
 NfrRelation CanonicalRelation::TuplesContaining(size_t attr,
@@ -272,8 +241,8 @@ Status CanonicalRelation::Delete(const FlatTuple& t) {
   return Status::OK();
 }
 
-bool CanonicalRelation::IsCandidateAt(const NfrTuple& s, const NfrTuple& t,
-                                      size_t m) const {
+bool CanonicalRelation::IsCandidate(const EncodedTuple& s,
+                                    const EncodedTuple& t, size_t m) const {
   const size_t n = order_.size();
   for (size_t k = 0; k < n; ++k) {
     size_t attr = order_[k];
@@ -281,30 +250,13 @@ bool CanonicalRelation::IsCandidateAt(const NfrTuple& s, const NfrTuple& t,
       // Earlier-nested attributes must agree exactly (they are the
       // components composition will require equal and that no further
       // unnesting may touch).
-      if (s.at(attr) != t.at(attr)) return false;
+      if (s[attr] != t[attr]) return false;
     } else if (k == m) {
       // The composition attribute: t brings genuinely new values.
-      if (!s.at(attr).IsDisjointFrom(t.at(attr))) return false;
+      if (!s[attr].IsDisjointFrom(t[attr])) return false;
     } else {
       // Later-nested attributes can be unnested down to t's values
       // (Lemma A-2), so coverage suffices.
-      if (!t.at(attr).IsSubsetOf(s.at(attr))) return false;
-    }
-  }
-  return true;
-}
-
-bool CanonicalRelation::IsCandidateAtEncoded(const EncodedTuple& s,
-                                             const EncodedTuple& t,
-                                             size_t m) const {
-  const size_t n = order_.size();
-  for (size_t k = 0; k < n; ++k) {
-    size_t attr = order_[k];
-    if (k < m) {
-      if (s[attr] != t[attr]) return false;
-    } else if (k == m) {
-      if (!s[attr].IsDisjointFrom(t[attr])) return false;
-    } else {
       if (!t[attr].IsSubsetOf(s[attr])) return false;
     }
   }
@@ -315,17 +267,13 @@ std::optional<CanonicalRelation::Candidate> CanonicalRelation::FindCandidate(
     const NfrTuple& t) {
   ScopedNsTimer timer(&stats_.find_candidate_ns, metrics_.find_candidate_ns);
   const size_t n = order_.size();
-  // In interned mode the probe is encoded once (interning any values it
-  // introduces) and every comparison below is an integer merge against
-  // the encoded mirror.
-  EncodedTuple probe;
-  if (dict_ != nullptr) {
-    probe = InternTuple(dict_.get(), t);
-  }
+  // The probe is encoded once (interning any values it introduces) and
+  // every comparison below is an integer merge against the encoded
+  // mirror.
+  const EncodedTuple probe = InternTuple(dict_.get(), t);
   auto is_candidate = [&](size_t i, size_t m) {
     BumpMirrored(&stats_.candidate_scans, metrics_.candidate_scans);
-    return dict_ != nullptr ? IsCandidateAtEncoded(encoded_[i], probe, m)
-                            : IsCandidateAt(relation_.tuple(i), t, m);
+    return IsCandidate(encoded_[i], probe, m);
   };
   if (!index_.has_value()) {
     // Scan nest-order positions from the first-nested attribute; Lemma
@@ -347,10 +295,7 @@ std::optional<CanonicalRelation::Candidate> CanonicalRelation::FindCandidate(
   // one merge.
   std::vector<std::vector<size_t>> containing(n);
   for (size_t k = 0; k < n; ++k) {
-    containing[k] =
-        dict_ != nullptr
-            ? index_->ContainingAllIds(order_[k], probe[order_[k]])
-            : index_->ContainingAll(order_[k], t.at(order_[k]));
+    containing[k] = index_->ContainingAllIds(order_[k], probe[order_[k]]);
   }
   // prefix[k] = intersection of containing[0..k-1].
   std::vector<std::vector<size_t>> suffix(n + 1);
@@ -396,7 +341,7 @@ void CanonicalRelation::Recons(NfrTuple t, int depth) {
   BumpMirrored(&stats_.recons_calls, metrics_.recons_calls);
   std::optional<Candidate> cand = FindCandidate(t);
   if (!cand.has_value()) {
-    AddTuple(std::move(t));
+    AppendTuple(std::move(t));
     return;
   }
   NfrTuple p = TakeTupleAt(cand->tuple_index);

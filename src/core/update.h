@@ -58,29 +58,20 @@ class CanonicalRelation {
   /// Both produce identical relations; only the search cost differs.
   enum class SearchMode { kScan, kIndexed };
 
-  /// Which representation the candidate/containment searches run on.
-  /// kValue is the untouched pre-dictionary path, kept as the
-  /// comparison control; kInterned maintains an id-encoded mirror of
-  /// every tuple against a ValueDictionary, so the hot searches compare
-  /// and hash dense integers. The two modes execute the same algebra —
-  /// composition/decomposition/recons counts are bit-identical.
-  enum class Encoding { kValue, kInterned };
-
   /// An empty canonical relation. `order` must be a permutation of the
-  /// schema's positions; order[0] is nested first. When `dict` is null
-  /// and `encoding` is kInterned, the relation owns a private
-  /// dictionary; the engine passes its per-database dictionary instead
-  /// so ids are shared across relations.
+  /// schema's positions; order[0] is nested first. Every tuple is
+  /// mirrored as ids of a ValueDictionary, so the searches compare and
+  /// hash dense integers. When `dict` is null the relation owns a
+  /// private dictionary; the engine passes its per-database dictionary
+  /// instead so ids are shared across relations.
   CanonicalRelation(Schema schema, Permutation order,
                     SearchMode mode = SearchMode::kIndexed,
-                    Encoding encoding = Encoding::kInterned,
                     std::shared_ptr<ValueDictionary> dict = nullptr);
 
   /// Builds the canonical form of an existing 1NF relation.
   static Result<CanonicalRelation> FromFlat(
       const FlatRelation& flat, Permutation order,
       SearchMode mode = SearchMode::kIndexed,
-      Encoding encoding = Encoding::kInterned,
       std::shared_ptr<ValueDictionary> dict = nullptr);
 
   const Schema& schema() const { return relation_.schema(); }
@@ -125,10 +116,8 @@ class CanonicalRelation {
   void set_metrics(const UpdatePathMetrics& metrics) { metrics_ = metrics; }
 
   SearchMode search_mode() const { return mode_; }
-  Encoding encoding() const { return encoding_; }
 
-  /// The dictionary backing the interned representation (null in
-  /// kValue mode).
+  /// The dictionary the encoded mirror's ids refer to.
   const std::shared_ptr<ValueDictionary>& dictionary() const {
     return dict_;
   }
@@ -153,16 +142,14 @@ class CanonicalRelation {
   /// attributes (Lemma A-2) makes it composable with t over m.
   std::optional<Candidate> FindCandidate(const NfrTuple& t);
 
-  /// True when tuple `s` is a candidate for `t` at nest position `m`.
-  bool IsCandidateAt(const NfrTuple& s, const NfrTuple& t, size_t m) const;
+  /// True when the encoded tuple `s` is a candidate for `t` at nest
+  /// position `m` — pure integer merges.
+  bool IsCandidate(const EncodedTuple& s, const EncodedTuple& t,
+                   size_t m) const;
 
-  /// Id-space twin of IsCandidateAt — pure integer merges.
-  bool IsCandidateAtEncoded(const EncodedTuple& s, const EncodedTuple& t,
-                            size_t m) const;
-
-  /// Index-maintaining mutations of relation_ (and, in kInterned mode,
-  /// of the encoded mirror).
-  void AddTuple(NfrTuple t);
+  /// Mutations of relation_ that keep the encoded mirror and the index
+  /// in step.
+  void AppendTuple(NfrTuple t);
   NfrTuple TakeTupleAt(size_t index);
 
   /// The unique tuple whose expansion contains `t`, or size() if none.
@@ -176,9 +163,8 @@ class CanonicalRelation {
   NfrRelation relation_;
   Permutation order_;
   SearchMode mode_;
-  Encoding encoding_;
-  std::shared_ptr<ValueDictionary> dict_;  // kInterned only.
-  CowVector<EncodedTuple> encoded_;        // Mirror of relation_ (kInterned).
+  std::shared_ptr<ValueDictionary> dict_;
+  CowVector<EncodedTuple> encoded_;  // Mirror of relation_.
   std::optional<NfrIndex> index_;
   UpdateStats stats_;
   UpdatePathMetrics metrics_;  // All-null when not wired to a registry.

@@ -101,8 +101,7 @@ Status Database::LoadDictionary() {
 CanonicalRelation Database::MakeRelation(const Schema& schema,
                                          const Permutation& order) const {
   CanonicalRelation rel(schema, order,
-                        CanonicalRelation::SearchMode::kIndexed,
-                        CanonicalRelation::Encoding::kInterned, dict_);
+                        CanonicalRelation::SearchMode::kIndexed, dict_);
   // Mirror the relation's §4 counters into the engine-wide registry so
   // the database totals stay bit-identical to the per-relation sums.
   rel.set_metrics(UpdatePathMetrics::ForRegistry(&metrics_));
@@ -241,12 +240,12 @@ Status Database::Recover() {
           CanonicalRelation rebuilt,
           CanonicalRelation::FromFlat(
               stored.relation.Expand(), info->nest_order,
-              CanonicalRelation::SearchMode::kIndexed,
-              CanonicalRelation::Encoding::kInterned, dict_));
+              CanonicalRelation::SearchMode::kIndexed, dict_));
       if (!rebuilt.relation().EqualsAsSet(stored.relation)) {
         return Status::Corruption(
             StrCat("table for '", name, "' is not in canonical form"));
       }
+      rebuilt.set_metrics(UpdatePathMetrics::ForRegistry(&metrics_));
       rel = std::move(rebuilt);
     } else if (created_in_log.count(name) == 0) {
       // Unmapped relations start empty and replay rebuilds them, which
@@ -408,9 +407,8 @@ void Database::PublishSnapshot() {
   ++published_version_;
   WalPosition wal_pos = wal_ != nullptr ? wal_->position() : WalPosition{};
   snapshot_.store(std::make_shared<const DatabaseSnapshot>(
-                      published_version_, catalog_epoch(),
-                      std::move(versions), frozen_dict_, snapshot_tracker_,
-                      wal_pos.epoch, wal_pos.lsn),
+                      published_version_, std::move(versions), frozen_dict_,
+                      snapshot_tracker_, wal_pos.epoch, wal_pos.lsn),
                   std::memory_order_release);
   metric_snapshots_published_->Increment();
 }
@@ -911,9 +909,7 @@ Result<RelationStats> Database::Stats(const std::string& name) const {
   RelationStats stats = ComputeRelationStats(it->second.relation());
   stats.name = name;
   stats.update_stats = it->second.stats();
-  if (it->second.dictionary() != nullptr) {
-    stats.dict_values = it->second.dictionary()->size();
-  }
+  stats.dict_values = it->second.dictionary()->size();
   return stats;
 }
 

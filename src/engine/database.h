@@ -263,7 +263,7 @@ class Database {
   std::string ManifestPath() const;
   Status SaveDictionary() const;
   Status LoadDictionary();
-  /// A fresh interned CanonicalRelation wired to the shared dictionary.
+  /// A fresh CanonicalRelation wired to the shared dictionary.
   CanonicalRelation MakeRelation(const Schema& schema,
                                  const Permutation& order) const;
   Status MaybeAutoCheckpoint();

@@ -47,12 +47,11 @@ size_t SnapshotTracker::alive() const {
 }
 
 DatabaseSnapshot::DatabaseSnapshot(
-    uint64_t version, uint64_t catalog_epoch, VersionMap relations,
+    uint64_t version, VersionMap relations,
     std::shared_ptr<const ValueDictionary> dictionary,
     std::shared_ptr<SnapshotTracker> tracker, uint64_t wal_epoch,
     uint64_t wal_lsn)
     : version_(version),
-      catalog_epoch_(catalog_epoch),
       wal_epoch_(wal_epoch),
       wal_lsn_(wal_lsn),
       relations_(std::move(relations)),

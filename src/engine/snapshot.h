@@ -89,8 +89,7 @@ class DatabaseSnapshot {
   using VersionMap =
       std::map<std::string, std::shared_ptr<const RelationVersion>>;
 
-  DatabaseSnapshot(uint64_t version, uint64_t catalog_epoch,
-                   VersionMap relations,
+  DatabaseSnapshot(uint64_t version, VersionMap relations,
                    std::shared_ptr<const ValueDictionary> dictionary,
                    std::shared_ptr<SnapshotTracker> tracker,
                    uint64_t wal_epoch = 0, uint64_t wal_lsn = 0);
@@ -101,10 +100,6 @@ class DatabaseSnapshot {
   /// Monotone publish sequence number (1 = the snapshot Recover()
   /// publishes).
   uint64_t version() const { return version_; }
-
-  /// The catalog epoch at publish — bumped by DDL, the statement
-  /// cache's plan-reuse key.
-  uint64_t catalog_epoch() const { return catalog_epoch_; }
 
   /// WAL position (epoch, last applied lsn) at publish — how far the
   /// durable log this snapshot reflects had advanced. A follower
@@ -145,7 +140,6 @@ class DatabaseSnapshot {
   Result<const RelationVersion*> Find(const std::string& name) const;
 
   const uint64_t version_;
-  const uint64_t catalog_epoch_;
   const uint64_t wal_epoch_;
   const uint64_t wal_lsn_;
   const VersionMap relations_;

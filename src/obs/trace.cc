@@ -60,12 +60,6 @@ void RenderNode(const SpanNode& node, const std::string& prefix,
 
 }  // namespace
 
-std::string RenderSpanTree(const SpanNode& node, TraceRender mode) {
-  std::string out;
-  RenderNode(node, "", /*is_last=*/true, /*is_root=*/true, mode, &out);
-  return out;
-}
-
 std::string Trace::Render(TraceRender mode) const {
   std::string out;
   for (const auto& child : root_->children) {

@@ -54,11 +54,6 @@ class Trace {
   std::vector<SpanNode*> stack_;  // Innermost open span last.
 };
 
-/// Renders the subtree under `node` (excluding the node itself when it
-/// is a synthetic root is the caller's choice — this renders `node` as
-/// the top line).
-std::string RenderSpanTree(const SpanNode& node, TraceRender mode);
-
 /// A scoped timer that opens a span on construction and closes it on
 /// destruction, recording the elapsed wall time into the span and,
 /// optionally, into a registry histogram. A null `trace` (with or

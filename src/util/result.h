@@ -65,10 +65,6 @@ class Result {
     return &*value_;
   }
 
-  /// Returns the held value, or dies with the error message.
-  const T& ValueOrDie() const& { return **this; }
-  T&& ValueOrDie() && { return *std::move(*this); }
-
  private:
   Status status_;
   std::optional<T> value_;

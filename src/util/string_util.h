@@ -11,19 +11,6 @@ namespace nf2 {
 /// Joins the elements of `parts` with `sep` between them.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Joins arbitrary streamable elements with `sep` between them.
-template <typename Container>
-std::string JoinStreamable(const Container& items, std::string_view sep) {
-  std::ostringstream out;
-  bool first = true;
-  for (const auto& item : items) {
-    if (!first) out << sep;
-    first = false;
-    out << item;
-  }
-  return out.str();
-}
-
 /// Splits `text` on `sep`, keeping empty pieces.
 std::vector<std::string> Split(std::string_view text, char sep);
 

@@ -62,6 +62,35 @@ TEST(PredicateTest, ExpansionExactnessVsExistential) {
   EXPECT_FALSE(p.MatchesExpansion(t));   // Exact.
 }
 
+TEST(PredicateTest, NotSelectsTheRowsItsNegatedComparisonsAdmit) {
+  // A = {s0, s2}: the row holding s2 satisfies NOT A < s1 although the
+  // row holding s0 does not, so the tuple must survive the pre-filter.
+  NfrTuple t{ValueSet{V("s0"), V("s2")}, ValueSet(V("b"))};
+  NfrRelation nested(Schema::OfStrings({"A", "B"}), {t});
+  const Predicate lt_not = Predicate::Not(Predicate::Lt(0, V("s1")));
+  EXPECT_EQ(Select(nested.Expand(), lt_not).size(), 1u);
+  EXPECT_TRUE(lt_not.EvalNfrAny(t));
+  EXPECT_EQ(SelectNfrExact(nested, lt_not).size(), 1u);
+  EXPECT_EQ(SelectNfrTuples(nested, lt_not).size(), 1u);
+  // De Morgan: NOT (A = s0 AND B = b) is A != s0 OR B != b, which the
+  // s2 row satisfies.
+  const Predicate and_not = Predicate::Not(
+      Predicate::And(Predicate::Eq(0, V("s0")), Predicate::Eq(1, V("b"))));
+  EXPECT_TRUE(and_not.EvalNfrAny(t));
+  EXPECT_EQ(SelectNfrExact(nested, and_not).Expand(),
+            Select(nested.Expand(), and_not));
+  // NOT (A = s0 OR A = s2) is A != s0 AND A != s2 — two comparisons on
+  // one attribute, so the pre-filter over-approximates and the
+  // row-by-row check keeps the selection exact.
+  const Predicate or_not = Predicate::Not(
+      Predicate::Or(Predicate::Eq(0, V("s0")), Predicate::Eq(0, V("s2"))));
+  EXPECT_TRUE(or_not.EvalNfrAny(t));
+  EXPECT_FALSE(or_not.MatchesExpansion(t));
+  EXPECT_EQ(SelectNfrExact(nested, or_not).size(), 0u);
+  // NOT TRUE admits nothing.
+  EXPECT_FALSE(Predicate::Not(Predicate::True()).EvalNfrAny(t));
+}
+
 TEST(PredicateTest, SoleAttrAndEvalValue) {
   // NOT (A < 3 OR A = 5) references A alone: on a value it answers as
   // EvalFlat on any row holding that value.

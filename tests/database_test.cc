@@ -145,6 +145,27 @@ TEST_F(DatabaseTest, DurableAcrossReopenViaWal) {
   EXPECT_TRUE(scan->Contains(Scb("s1", "c2", "b1")));
 }
 
+TEST_F(DatabaseTest, RelationsLoadedFromTheirTableMirrorUpdateCounters) {
+  {
+    auto db = Database::Open(dir_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(CreateStudents(db->get()).ok());
+    ASSERT_TRUE((*db)->Insert("students", Scb("s1", "c1", "b1")).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  // Reopening loads "students" from its checkpointed table; its §4
+  // counters must still feed the engine-wide registry.
+  auto db = Database::Open(dir_);
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_TRUE((*db)->Insert("students", Scb("s1", "c2", "b1")).ok());
+  Result<RelationStats> stats = (*db)->Stats("students");
+  ASSERT_TRUE(stats.ok());
+  ASSERT_GT(stats->update_stats.compositions, 0u);
+  MetricsSnapshot snap = (*db)->MetricsSnapshot();
+  EXPECT_EQ(snap.counter("nf2_compo_total"), stats->update_stats.compositions);
+  EXPECT_EQ(snap.counter("nf2_recons_total"), stats->update_stats.recons_calls);
+}
+
 TEST_F(DatabaseTest, RecoveryReplaysWalWithoutCheckpoint) {
   // Simulate a crash: build a second Database handle state by writing
   // through one instance and never letting its destructor checkpoint.

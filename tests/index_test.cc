@@ -18,60 +18,78 @@ NfrTuple T(std::initializer_list<const char*> a,
   return NfrTuple{ValueSet(std::move(av)), ValueSet(std::move(bv))};
 }
 
+/// An id-keyed index over a fresh dictionary; Encode interns a tuple's
+/// values into that dictionary the way CanonicalRelation does.
+struct IndexOverDict {
+  std::shared_ptr<ValueDictionary> dict = std::make_shared<ValueDictionary>();
+  NfrIndex index{2, dict};
+
+  EncodedTuple Encode(const NfrTuple& t) {
+    return InternTuple(dict.get(), t);
+  }
+  IdSet Ids(std::initializer_list<const char*> values) {
+    std::vector<Value> vs;
+    for (const char* v : values) vs.push_back(V(v));
+    return InternValueSet(dict.get(), ValueSet(std::move(vs)));
+  }
+};
+
 TEST(NfrIndexTest, AddAndPostings) {
-  NfrIndex index(2);
-  index.AddTuple(0, T({"a1", "a2"}, {"b1"}));
-  index.AddTuple(1, T({"a2"}, {"b2"}));
-  const std::vector<size_t>* a2 = index.Postings(0, V("a2"));
+  IndexOverDict x;
+  x.index.AddEncoded(0, x.Encode(T({"a1", "a2"}, {"b1"})));
+  x.index.AddEncoded(1, x.Encode(T({"a2"}, {"b2"})));
+  const std::vector<size_t>* a2 = x.index.Postings(0, V("a2"));
   ASSERT_NE(a2, nullptr);
   EXPECT_EQ(*a2, (std::vector<size_t>{0, 1}));
-  const std::vector<size_t>* b1 = index.Postings(1, V("b1"));
+  const std::vector<size_t>* b1 = x.index.Postings(1, V("b1"));
   ASSERT_NE(b1, nullptr);
   EXPECT_EQ(*b1, (std::vector<size_t>{0}));
-  EXPECT_EQ(index.Postings(0, V("zz")), nullptr);
-  EXPECT_EQ(index.entry_count(), 5u);
+  EXPECT_EQ(x.index.Postings(0, V("zz")), nullptr);
+  // A value the dictionary holds but no tuple of this attribute does.
+  EXPECT_EQ(x.index.Postings(0, V("b1")), nullptr);
+  EXPECT_EQ(x.index.entry_count(), 5u);
 }
 
 TEST(NfrIndexTest, RemoveCleansUp) {
-  NfrIndex index(2);
-  NfrTuple t = T({"a1", "a2"}, {"b1"});
-  index.AddTuple(0, t);
-  index.RemoveTuple(0, t);
-  EXPECT_EQ(index.Postings(0, V("a1")), nullptr);
-  EXPECT_EQ(index.entry_count(), 0u);
+  IndexOverDict x;
+  EncodedTuple t = x.Encode(T({"a1", "a2"}, {"b1"}));
+  x.index.AddEncoded(0, t);
+  x.index.RemoveEncoded(0, t);
+  EXPECT_EQ(x.index.Postings(0, V("a1")), nullptr);
+  EXPECT_EQ(x.index.entry_count(), 0u);
 }
 
 TEST(NfrIndexTest, MoveRelabelsIds) {
-  NfrIndex index(2);
-  NfrTuple t = T({"a1"}, {"b1"});
-  index.AddTuple(5, t);
-  index.MoveTuple(5, 2, t);
-  const std::vector<size_t>* a1 = index.Postings(0, V("a1"));
+  IndexOverDict x;
+  EncodedTuple t = x.Encode(T({"a1"}, {"b1"}));
+  x.index.AddEncoded(5, t);
+  x.index.MoveEncoded(5, 2, t);
+  const std::vector<size_t>* a1 = x.index.Postings(0, V("a1"));
   ASSERT_NE(a1, nullptr);
   EXPECT_EQ(*a1, (std::vector<size_t>{2}));
 }
 
-TEST(NfrIndexTest, ContainingAll) {
-  NfrIndex index(2);
-  index.AddTuple(0, T({"a1", "a2"}, {"b1"}));
-  index.AddTuple(1, T({"a1", "a3"}, {"b1", "b2"}));
-  index.AddTuple(2, T({"a2", "a3"}, {"b2"}));
-  EXPECT_EQ(index.ContainingAll(0, ValueSet{V("a1"), V("a2")}),
+TEST(NfrIndexTest, ContainingAllIds) {
+  IndexOverDict x;
+  x.index.AddEncoded(0, x.Encode(T({"a1", "a2"}, {"b1"})));
+  x.index.AddEncoded(1, x.Encode(T({"a1", "a3"}, {"b1", "b2"})));
+  x.index.AddEncoded(2, x.Encode(T({"a2", "a3"}, {"b2"})));
+  EXPECT_EQ(x.index.ContainingAllIds(0, x.Ids({"a1", "a2"})),
             (std::vector<size_t>{0}));
-  EXPECT_EQ(index.ContainingAll(0, ValueSet{V("a3")}),
+  EXPECT_EQ(x.index.ContainingAllIds(0, x.Ids({"a3"})),
             (std::vector<size_t>{1, 2}));
-  EXPECT_TRUE(index.ContainingAll(0, ValueSet{V("a1"), V("zz")}).empty());
+  EXPECT_TRUE(x.index.ContainingAllIds(0, x.Ids({"a1", "zz"})).empty());
 }
 
-TEST(NfrIndexTest, ContainingTuple) {
-  NfrIndex index(2);
-  index.AddTuple(0, T({"a1", "a2"}, {"b1"}));
-  index.AddTuple(1, T({"a3"}, {"b1", "b2"}));
-  EXPECT_EQ(index.ContainingTuple(T({"a2"}, {"b1"})),
+TEST(NfrIndexTest, ContainingEncoded) {
+  IndexOverDict x;
+  x.index.AddEncoded(0, x.Encode(T({"a1", "a2"}, {"b1"})));
+  x.index.AddEncoded(1, x.Encode(T({"a3"}, {"b1", "b2"})));
+  EXPECT_EQ(x.index.ContainingEncoded(x.Encode(T({"a2"}, {"b1"}))),
             (std::vector<size_t>{0}));
-  EXPECT_EQ(index.ContainingTuple(T({"a3"}, {"b2"})),
+  EXPECT_EQ(x.index.ContainingEncoded(x.Encode(T({"a3"}, {"b2"}))),
             (std::vector<size_t>{1}));
-  EXPECT_TRUE(index.ContainingTuple(T({"a2"}, {"b2"})).empty());
+  EXPECT_TRUE(x.index.ContainingEncoded(x.Encode(T({"a2"}, {"b2"}))).empty());
 }
 
 // Regression: RemoveEncoded used to leave emptied posting slots

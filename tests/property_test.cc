@@ -231,9 +231,16 @@ TEST_P(PropertyTest, SelectOnNfrEqualsSelectOnFlat) {
   FlatRelation flat = Random(3, 3, 14, 11);
   NfrRelation nested = CanonicalForm(flat, {2, 0, 1});
   Rng rng(GetParam() + 4);
+  // The NOT-ed comparisons meet multi-valued components, where a
+  // tuple holds rows on both sides of the bound.
   Predicate p = Predicate::Or(
-      Predicate::Eq(0, V(StrCat("v0_", rng.NextBelow(3)).c_str())),
-      Predicate::Ne(2, V(StrCat("v2_", rng.NextBelow(3)).c_str())));
+      Predicate::And(
+          Predicate::Eq(0, V(StrCat("v0_", rng.NextBelow(3)).c_str())),
+          Predicate::Not(Predicate::Lt(
+              1, V(StrCat("v1_", rng.NextBelow(3)).c_str())))),
+      Predicate::Not(Predicate::Or(
+          Predicate::Eq(2, V(StrCat("v2_", rng.NextBelow(3)).c_str())),
+          Predicate::Ge(0, V(StrCat("v0_", rng.NextBelow(3)).c_str())))));
   EXPECT_EQ(SelectNfrExact(nested, p).Expand(), Select(flat, p));
 }
 

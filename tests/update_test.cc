@@ -367,15 +367,12 @@ TEST(Fig1Fig2Test, DroppingStudentCourseFromR1AndR2) {
 // attribute to seed the candidate id set from: the prefix intersection
 // is the empty intersection (the universe), and the fallback must
 // consider EVERY stored tuple, not none. Regression coverage for that
-// branch in both search modes and both encodings.
+// branch in both search modes.
 class Degree1Test
-    : public ::testing::TestWithParam<
-          std::pair<CanonicalRelation::SearchMode,
-                    CanonicalRelation::Encoding>> {};
+    : public ::testing::TestWithParam<CanonicalRelation::SearchMode> {};
 
 TEST_P(Degree1Test, InsertMergesEverythingIntoOneTuple) {
-  auto [mode, encoding] = GetParam();
-  CanonicalRelation r(Schema::OfStrings({"A"}), {0}, mode, encoding);
+  CanonicalRelation r(Schema::OfStrings({"A"}), {0}, GetParam());
   for (const char* v : {"a1", "a2", "a3", "a4", "a5"}) {
     ASSERT_TRUE(r.Insert(FlatTuple{V(v)}).ok());
   }
@@ -396,57 +393,8 @@ TEST_P(Degree1Test, InsertMergesEverythingIntoOneTuple) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, Degree1Test,
-    ::testing::Values(
-        std::make_pair(CanonicalRelation::SearchMode::kScan,
-                       CanonicalRelation::Encoding::kValue),
-        std::make_pair(CanonicalRelation::SearchMode::kScan,
-                       CanonicalRelation::Encoding::kInterned),
-        std::make_pair(CanonicalRelation::SearchMode::kIndexed,
-                       CanonicalRelation::Encoding::kValue),
-        std::make_pair(CanonicalRelation::SearchMode::kIndexed,
-                       CanonicalRelation::Encoding::kInterned)));
-
-// ---- kValue vs kInterned equivalence ---------------------------------
-//
-// The interned representation is a pure encoding change: random
-// insert/delete streams must produce identical relations AND
-// bit-identical algebra counters (compositions, decompositions,
-// recons_calls, candidate_scans) in both encodings.
-TEST(EncodingEquivalenceTest, RandomStreamsMatchCountersExactly) {
-  Rng rng(42);
-  for (int round = 0; round < 5; ++round) {
-    FlatRelation flat = RandomFlatRelation(&rng, 3, 3, 20);
-    Permutation perm{1, 2, 0};
-    Result<CanonicalRelation> value_rel = CanonicalRelation::FromFlat(
-        flat, perm, CanonicalRelation::SearchMode::kIndexed,
-        CanonicalRelation::Encoding::kValue);
-    Result<CanonicalRelation> interned_rel = CanonicalRelation::FromFlat(
-        flat, perm, CanonicalRelation::SearchMode::kIndexed,
-        CanonicalRelation::Encoding::kInterned);
-    ASSERT_TRUE(value_rel.ok());
-    ASSERT_TRUE(interned_rel.ok());
-    for (int op = 0; op < 40; ++op) {
-      FlatRelation current = value_rel->relation().Expand();
-      bool do_delete = current.size() > 0 && rng.NextBelow(2) == 0;
-      FlatTuple t =
-          do_delete
-              ? current.tuples()[rng.NextBelow(current.size())]
-              : RandomFlatRelation(&rng, 3, 3, 1).tuples()[0];
-      Status sv = do_delete ? value_rel->Delete(t) : value_rel->Insert(t);
-      Status si =
-          do_delete ? interned_rel->Delete(t) : interned_rel->Insert(t);
-      ASSERT_EQ(sv.code(), si.code()) << t.ToString();
-    }
-    EXPECT_TRUE(
-        value_rel->relation().EqualsAsSet(interned_rel->relation()));
-    const UpdateStats& a = value_rel->stats();
-    const UpdateStats& b = interned_rel->stats();
-    EXPECT_EQ(a.compositions, b.compositions);
-    EXPECT_EQ(a.decompositions, b.decompositions);
-    EXPECT_EQ(a.recons_calls, b.recons_calls);
-    EXPECT_EQ(a.candidate_scans, b.candidate_scans);
-  }
-}
+    ::testing::Values(CanonicalRelation::SearchMode::kScan,
+                      CanonicalRelation::SearchMode::kIndexed));
 
 }  // namespace
 }  // namespace nf2

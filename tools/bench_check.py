@@ -3,7 +3,7 @@
 
 Usage: bench_check.py NEW_JSON BASELINE_JSON [--threshold FRAC]
 
-Sections are matched by name; for each match the optimized (interned /
+Sections are matched by name; for each match the optimized (or
 durable) throughput must not regress by more than --threshold (default
 0.25, i.e. 25%) relative to the baseline — but only when the two runs
 did the same amount of work (matching "operations"): a smoke run
